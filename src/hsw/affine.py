@@ -58,10 +58,6 @@ class AffineElt:
     def is_translation(self) -> bool:
         return self.w.is_identity()
 
-    def act_level1(self, xi: Vec) -> Vec:
-        """The level-one affine action on weights: (w t_lam)(xi) = w(xi + lam)."""
-        return self.w.act(vec_add(xi, self.lam))
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, AffineElt):
             return self is other or (self.w == other.w and self.lam == other.lam)
@@ -144,10 +140,6 @@ def from_weyl(w: WeylElt) -> AffineElt:
     return affine_elt(w.datum, w, (0,) * w.datum.rank)
 
 
-def aff_length(x: AffineElt) -> int:
-    return x.length
-
-
 def simple_reflections(datum: RootDatum) -> tuple[SimpleReflection, ...]:
     """Finite simple generators followed by one affine generator per component."""
     st = _state(datum)
@@ -207,10 +199,6 @@ def reduced_word(x: AffineElt) -> tuple[AffineElt, tuple[SimpleReflection, ...]]
     result = (cur, tuple(letters))
     st.reduced[x] = result
     return result
-
-
-def omega_part(x: AffineElt) -> AffineElt:
-    return reduced_word(x)[0]
 
 
 def min_rep(datum: RootDatum, lam) -> AffineElt:

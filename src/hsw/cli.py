@@ -8,14 +8,14 @@ addresses the affine generator of the k-th component.  Elements combine
 both as ``word@weight``, meaning the word times the translation.
 
 Exit status: 0 on success, 1 when a verification-style command finds a
-failing case, 2 on argument or input errors.
+failing case, 2 on argument or input errors, 3 when an internal invariant
+check fails (a bug, reported as one ``internal error:`` line).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .affine import (AffineElt, affine_identity, min_rep, parse_weight,
@@ -26,26 +26,6 @@ from .qanalogue import dominant_weights_by_length, kato_check, lusztig_q
 from .rootdata import RootDatum, load_datum
 from .spherical import SphElt, bs_char, canonical_basis, decompose_bs, hom_rank, sph_pairing
 from .verify import CHECKS, run_suite
-
-
-def _threads() -> int:
-    """Worker cap for grid commands, from HSW_THREADS (default 1)."""
-    raw = os.environ.get("HSW_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def _pmap(fn, items) -> list:
-    items = list(items)
-    n = _threads()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- parsing helpers -------------------------------------------------------------------
@@ -220,8 +200,7 @@ def _cmd_kato_check(ns, datum: RootDatum) -> int:
         rows = [kato_check(datum, _weight(datum, ns.lam), _weight(datum, ns.mu))]
     else:
         lams = dominant_weights_by_length(datum, ns.max_length)
-        pairs = [(lam, mu) for lam in lams for mu in lams]
-        rows = _pmap(lambda p: kato_check(datum, p[0], p[1]), pairs)
+        rows = [kato_check(datum, lam, mu) for lam in lams for mu in lams]
     bad = [r for r in rows if not r["pass"]]
     lines = [f"{'PASS' if r['pass'] else 'FAIL'} lambda={listed(r['lambda'])} "
              f"mu={listed(r['mu'])} lhs={r['lhs']} rhs={r['rhs']}" for r in rows]
@@ -398,6 +377,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # RecursionError included
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -263,19 +263,5 @@ def v_power(k: int) -> LaurentPoly:
     return LaurentPoly({k: 1})
 
 
-# Operation-style aliases matching the public contract.
-
-def laurent_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    return f * g
-
-
-def laurent_bar(f: LaurentPoly) -> LaurentPoly:
-    return f.bar()
-
-
-def laurent_sym_complete(f: LaurentPoly) -> LaurentPoly:
-    return f.sym_complete()
-
-
 def laurent_substitute(f: LaurentPoly, k: int) -> LaurentPoly:
     return f.substitute_power(k)

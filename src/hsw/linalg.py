@@ -1,0 +1,133 @@
+"""Exact linear algebra over the integers by fraction-free elimination.
+
+Every routine here runs one elimination, Bareiss's integer-preserving
+Gaussian elimination (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968): a step with
+pivot p replaces each other row by (p * row - row[c] * pivot_row) // prev,
+where prev is the pivot of the step before.  Sylvester's identity makes the
+division exact, so entries stay integers (minors of the input) and never
+need a common denominator.  Matrices are sequences of integer rows;
+nothing is modified in place.
+
+This module is a leaf: it imports nothing from the package.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+IntMatrix = Sequence[Sequence[int]]
+
+
+def _eliminate(rows: IntMatrix, ncols: int, full: bool = False):
+    """Bareiss elimination of the first ncols columns.
+
+    Returns (work, pivots, sign, d): work[:len(pivots)] is a row echelon
+    form with pivots[i] the pivot column of row i, sign is the parity of the
+    row swaps and d the last pivot (1 when there is none).  With full=True
+    the rows above each pivot are cleared too (fraction-free Gauss-Jordan);
+    every pivot entry then equals d and the leading rows are d times the
+    reduced echelon form.
+    """
+    work = [list(row) for row in rows]
+    nrows = len(work)
+    pivots: list[int] = []
+    sign, prev, r = 1, 1, 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if work[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            sign = -sign
+        prow = work[r]
+        p = prow[c]
+        for i in range(0 if full else r + 1, nrows):
+            if i == r:
+                continue
+            row = work[i]
+            f = row[c]
+            if f:
+                work[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            elif p != prev:
+                work[i] = [p * x // prev for x in row]
+        pivots.append(c)
+        prev = p
+        r += 1
+    return work, pivots, sign, prev
+
+
+def _primitive(vec: list[int], unit: int = 1) -> list[int]:
+    """vec divided by the gcd of its entries, times the sign of unit."""
+    g = math.gcd(*vec)
+    if g == 0:
+        return vec
+    if unit < 0:
+        g = -g
+    return [x // g for x in vec]
+
+
+def rank(rows: IntMatrix) -> int:
+    """Rank of an integer matrix."""
+    if not rows:
+        return 0
+    return len(_eliminate(rows, len(rows[0]))[1])
+
+
+def det(rows: IntMatrix) -> int:
+    """Determinant of a square integer matrix."""
+    _, pivots, sign, d = _eliminate(rows, len(rows))
+    return sign * d if len(pivots) == len(rows) else 0
+
+
+def inverse(rows: IntMatrix) -> tuple[int, list[list[int]]]:
+    """(det A, adj A) of an invertible square matrix A, so A^-1 = adj / det.
+
+    Raises ValueError when A is singular.
+    """
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    work, pivots, sign, d = _eliminate(aug, 2 * n, full=True)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return sign * d, [[sign * x for x in row[n:]] for row in work]
+
+
+def nullspace(rows: IntMatrix, ncols: int) -> list[list[int]]:
+    """Basis of {x : rows * x = 0} as primitive integer vectors.
+
+    There is one vector per non-pivot column f, in increasing order of f:
+    the positive multiple of the reduced-echelon solution with x_f = 1 and
+    x_g = 0 for every other non-pivot column g.
+    """
+    work, pivots, _, d = _eliminate(rows, ncols, full=True)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = [0] * ncols
+        vec[f] = d
+        for row, pc in zip(work, pivots):
+            vec[pc] = -row[f]
+        basis.append(_primitive(vec, d))
+    return basis
+
+
+def remainder(rows: IntMatrix, vec: Sequence[int], ncols: int) -> list[int]:
+    """vec modulo the row space of rows, as a primitive integer vector.
+
+    The remainder is the unique vector of vec + rowspace that vanishes on
+    the pivot columns of the row space; the result is its primitive positive
+    integer multiple, and it is zero exactly when vec lies in the row space.
+    """
+    work, pivots, _, d = _eliminate(rows, ncols, full=True)
+    out = [d * x for x in vec]
+    for row, pc in zip(work, pivots):
+        f = vec[pc]
+        if f:
+            out = [a - f * b for a, b in zip(out, row)]
+    return _primitive(out, d)

@@ -87,12 +87,6 @@ class MPoly:
             raise ValueError(f"polynomial is not homogeneous: degrees {sorted(degs)}")
         return degs.pop()
 
-    def content(self) -> int:
-        g = 0
-        for a in self._c.values():
-            g = _gcd(g, a)
-        return g
-
     def leading_sign(self) -> int:
         if not self._c:
             return 0
@@ -234,13 +228,6 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly({self.nvars}, {dict(self.items())!r})"
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[tuple]:

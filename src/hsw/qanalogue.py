@@ -18,8 +18,10 @@ that every intermediate stays in the integer lattice.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+from . import linalg
 from .affine import min_rep
 from .laurent import ONE, ZERO, LaurentPoly, laurent_substitute
 from .rootdata import (RootDatum, Vec, pair, vec_add, vec_neg, vec_scale,
@@ -48,78 +50,37 @@ def _qstate(datum: RootDatum) -> _QState:
 
 
 def _solver(datum: RootDatum):
-    """Pivot rows and inverse submatrix for expanding vectors in simple roots."""
+    """Pivot coordinates, determinant and adjugate for expanding vectors in
+    simple roots: the coordinates are adj * vec[pivots] / det."""
     st = _qstate(datum)
     if st.solver is None:
-        n = datum.nsimples
-        cols = [list(r) for r in datum.simple_roots]
+        rows = [[root[i] for root in datum.simple_roots] for i in range(datum.rank)]
         pivots: list[int] = []
-        work = [[Fraction(cols[j][i]) for j in range(n)] for i in range(datum.rank)]
-        used: list[list[Fraction]] = []
         for i in range(datum.rank):
-            trial = used + [work[i]]
-            if _frac_rank(trial) == len(trial):
-                used.append(work[i])
+            if linalg.rank([rows[k] for k in pivots] + [rows[i]]) == len(pivots) + 1:
                 pivots.append(i)
-                if len(pivots) == n:
+                if len(pivots) == datum.nsimples:
                     break
-        sub = [[Fraction(datum.simple_roots[j][i]) for j in range(n)] for i in pivots]
-        inv = _frac_inverse(sub)
-        st.solver = (tuple(pivots), inv)
+        det, adj = linalg.inverse([rows[i] for i in pivots])
+        st.solver = (tuple(pivots), det, adj)
     return st.solver
 
 
-def _frac_rank(rows) -> int:
-    work = [row[:] for row in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(work)) if work[r][c]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        f = work[rank][c]
-        work[rank] = [x / f for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][c]:
-                g = work[r][c]
-                work[r] = [x - g * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank
-
-
-def _frac_inverse(mat):
-    n = len(mat)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if aug[r][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        f = aug[c][c]
-        aug[c] = [x / f for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                g = aug[r][c]
-                aug[r] = [x - g * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
-
-
-def root_coords(datum: RootDatum, vec) -> tuple[Fraction, ...] | None:
-    """Coordinates of a vector in the simple roots, or None if outside the span."""
-    vec = tuple(int(x) for x in vec)
-    pivots, inv = _solver(datum)
-    rhs = [Fraction(vec[i]) for i in pivots]
-    c = [sum(inv[i][j] * rhs[j] for j in range(len(rhs))) for i in range(len(rhs))]
-    for i in range(datum.rank):
-        if sum(cc * datum.simple_roots[j][i] for j, cc in enumerate(c)) != vec[i]:
-            return None
-    return tuple(c)
-
-
 def root_coords_int(datum: RootDatum, vec) -> Vec | None:
-    c = root_coords(datum, vec)
-    if c is None or any(x.denominator != 1 for x in c):
-        return None
-    return tuple(int(x) for x in c)
+    """Integer coordinates of a vector in the simple roots, or None when it
+    is not an integral combination of them."""
+    vec = tuple(int(x) for x in vec)
+    pivots, det, adj = _solver(datum)
+    coords = []
+    for row in adj:
+        q, r = divmod(sum(a * vec[i] for a, i in zip(row, pivots)), det)
+        if r:
+            return None
+        coords.append(q)
+    for i in range(datum.rank):
+        if sum(c * root[i] for c, root in zip(coords, datum.simple_roots)) != vec[i]:
+            return None
+    return tuple(coords)
 
 
 # -- q-Kostant partitions --------------------------------------------------------------
@@ -214,13 +175,9 @@ def _symmetrizer(datum: RootDatum) -> tuple[int, ...]:
                 if d[j] is None and a[i][j]:
                     d[j] = d[i] * Fraction(a[i][j], a[j][i])
                     queue.append(j)
-    denom_lcm = 1
-    for x in d:
-        denom_lcm = denom_lcm * x.denominator // _gcd(denom_lcm, x.denominator)
+    denom_lcm = math.lcm(*(x.denominator for x in d))
     ints = [int(x * denom_lcm) for x in d]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x)
+    g = math.gcd(*ints)
     ints = [x // g for x in ints]
     for i in range(n):
         for j in range(n):
@@ -228,13 +185,6 @@ def _symmetrizer(datum: RootDatum) -> tuple[int, ...]:
                 raise RuntimeError("symmetrizer failed; Cartan matrix not symmetrizable")
     st.symmetrizer = tuple(ints)
     return st.symmetrizer
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _form(datum: RootDatum, x_coords, y) -> Fraction:

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
+
+from . import linalg
 
 Vec = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -63,50 +65,6 @@ def mat_transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
 
-def _det_int(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _rank_fraction(rows: Iterable[Sequence[int]]) -> int:
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][c]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][c]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][c]:
-                f = work[r][c]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank
-
-
 @dataclass(frozen=True)
 class PosRoot:
     """A positive root with its coroot and both coordinate expansions.
@@ -149,19 +107,9 @@ class WeylElt:
 
     def inverse(self) -> "WeylElt":
         if self._inv is None:
-            n = self.datum.rank
-            aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-                   for i, row in enumerate(self.matrix)]
-            for c in range(n):
-                piv = next(r for r in range(c, n) if aug[r][c])
-                aug[c], aug[piv] = aug[piv], aug[c]
-                inv = 1 / aug[c][c]
-                aug[c] = [x * inv for x in aug[c]]
-                for r in range(n):
-                    if r != c and aug[r][c]:
-                        f = aug[r][c]
-                        aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-            mat = tuple(tuple(int(x) for x in row[n:]) for row in aug)
+            # a Weyl element has determinant +-1, so its inverse is integral
+            det, adj = linalg.inverse(self.matrix)
+            mat = tuple(tuple(x // det for x in row) for row in adj)
             self._inv = self.datum._intern_weyl(mat)
             self._inv._inv = self
         return self._inv
@@ -259,9 +207,9 @@ class RootDatum:
                     raise ValueError("off-diagonal Cartan entries must be nonpositive")
                 if (a[i][j] == 0) != (a[j][i] == 0):
                     raise ValueError("Cartan zero pattern must be symmetric")
-        if _rank_fraction(self.simple_roots) != n:
+        if linalg.rank(self.simple_roots) != n:
             raise ValueError("simple roots must be linearly independent")
-        if _rank_fraction(self.simple_coroots) != n:
+        if linalg.rank(self.simple_coroots) != n:
             raise ValueError("simple coroots must be linearly independent")
         self.positive_roots()  # raises when the closure does not terminate
         self._check_coweight_torsion()
@@ -273,8 +221,8 @@ class RootDatum:
         rows = [list(c) for c in self.simple_coroots]
         g = 0
         for cols in itertools.combinations(range(self.rank), k):
-            minor = _det_int([[row[c] for c in cols] for row in rows])
-            g = _gcd(g, minor)
+            minor = linalg.det([[row[c] for c in cols] for row in rows])
+            g = math.gcd(g, minor)
             if g == 1:
                 return
         raise ValueError(
@@ -326,13 +274,6 @@ class RootDatum:
         out = (0,) * self.rank
         for r in self.positive_roots():
             out = vec_add(out, r.vec)
-        return out
-
-    def two_rho_cov(self) -> Vec:
-        """Sum of the positive coroots."""
-        out = (0,) * self.rank
-        for r in self.positive_roots():
-            out = vec_add(out, r.cov)
         return out
 
     # -- Weyl group ---------------------------------------------------------------
@@ -439,7 +380,7 @@ class RootDatum:
         """Order of X modulo the root lattice, or None when infinite."""
         if self.nsimples != self.rank:
             return None
-        det = _det_int([list(col) for col in zip(*self.simple_roots)])
+        det = linalg.det([list(col) for col in zip(*self.simple_roots)])
         return abs(det)
 
     # -- serialization ------------------------------------------------------------------
@@ -454,13 +395,6 @@ class RootDatum:
 
     def __repr__(self) -> str:
         return f"RootDatum({self.name!r}, rank={self.rank})"
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- presets and loading ---------------------------------------------------------------
@@ -545,12 +479,3 @@ def load_datum(spec: str) -> RootDatum:
         return datum_from_file(spec)
     return datum_preset(spec)
 
-
-# Operation-style aliases matching the public contract.
-
-def positive_roots(datum: RootDatum) -> tuple[PosRoot, ...]:
-    return datum.positive_roots()
-
-
-def weyl_enumerate(datum: RootDatum) -> tuple[WeylElt, ...]:
-    return datum.weyl_elements()

@@ -13,15 +13,16 @@ Atoms are attached to length-zero elements (rank one twists), to finite
 wall crossings (rank two over the invariants of one reflection), and, in
 rank one, to the affine wall crossing.  Chains are built by tensoring atoms
 left to right.  Graded Hom spaces between chains are computed degree by
-degree by exact linear algebra over the rationals, and converted to a rank
+degree by fraction-free integer elimination, and converted to a rank
 polynomial over the coordinate ring; coefficients beyond the reliable
 window raise instead of truncating silently.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
+from . import linalg
 from .affine import AffineElt, SimpleReflection
 from .laurent import ONE, ZERO, LaurentPoly, v_power
 from .mpoly import MPoly, monomials_of_degree
@@ -45,58 +46,6 @@ def _dual_substitutions(datum: RootDatum) -> list:
     return [datum.simple_reflection(i).matrix for i in range(datum.nsimples)]
 
 
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the solution space of rows * x = 0, reduced echelon form."""
-    work = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        f = work[r][c]
-        work[r] = [x / f for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                g = work[i][c]
-                work[i] = [x - g * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -work[i][fc]
-        basis.append(vec)
-    return basis
-
-
-def _reduce_against(echelon: list[tuple[int, list[Fraction]]],
-                    vec: list[Fraction]) -> list[Fraction]:
-    vec = vec[:]
-    for lead, row in echelon:
-        if vec[lead]:
-            f = vec[lead]
-            vec = [x - f * y for x, y in zip(vec, row)]
-    return vec
-
-
-def _echelon_insert(echelon: list[tuple[int, list[Fraction]]],
-                    vec: list[Fraction]) -> bool:
-    vec = _reduce_against(echelon, vec)
-    lead = next((i for i, x in enumerate(vec) if x), None)
-    if lead is None:
-        return False
-    f = vec[lead]
-    vec = [x / f for x in vec]
-    echelon.append((lead, vec))
-    echelon.sort(key=lambda t: t[0])
-    return True
-
-
 def fundamental_invariants(datum: RootDatum) -> tuple[MPoly, ...]:
     """A generating family for the Weyl invariants of the coweight coordinates.
 
@@ -117,43 +66,36 @@ def fundamental_invariants(datum: RootDatum) -> tuple[MPoly, ...]:
             break
         monos = monomials_of_degree(n, degree)
         mono_index = {m: i for i, m in enumerate(monos)}
-        rows: list[list[Fraction]] = []
+        rows: list[list[int]] = []
         for sub in subs:
             # coefficient rows of p(sub(u)) - p(u) for p running over monomials
             cols = []
             for m in monos:
                 moved = MPoly(n, {m: 1}).substitute_linear(sub)
-                col = [Fraction(0)] * len(monos)
+                col = [0] * len(monos)
                 for e, a in moved._c.items():
                     col[mono_index[e]] += a
                 col[mono_index[m]] -= 1
                 cols.append(col)
             for out_i in range(len(monos)):
                 rows.append([cols[c][out_i] for c in range(len(monos))])
-        kernel = _nullspace(rows, len(monos))
+        kernel = linalg.nullspace(rows, len(monos))
         if not kernel:
             continue
-        # span of products of already-found invariants in this degree
-        echelon: list[tuple[int, list[Fraction]]] = []
+        # span of products of already-found invariants in this degree; each
+        # kernel vector is reduced to its remainder modulo that span
+        span: list[list[int]] = []
         for prod in _products_of_degree(found, degree, n):
-            vec = [Fraction(0)] * len(monos)
+            vec = [0] * len(monos)
             for e, a in prod._c.items():
                 vec[mono_index[e]] += a
-            _echelon_insert(echelon, vec)
+            span.append(vec)
         for vec in kernel:
-            reduced = _reduce_against(echelon, vec)
-            if all(x == 0 for x in reduced):
+            reduced = linalg.remainder(span, vec, len(monos))
+            if not any(reduced):
                 continue
-            _echelon_insert(echelon, reduced)
-            denom_lcm = 1
-            for x in reduced:
-                denom_lcm = denom_lcm * x.denominator // _gcd_int(denom_lcm, x.denominator)
-            ints = [int(x * denom_lcm) for x in reduced]
-            g = 0
-            for x in ints:
-                g = _gcd_int(g, x)
-            ints = [x // g for x in ints]
-            poly = MPoly(n, {m: c for m, c in zip(monos, ints)})
+            span.append(reduced)
+            poly = MPoly(n, dict(zip(monos, reduced)))
             if poly.leading_sign() < 0:
                 poly = -poly
             found.append(poly)
@@ -195,13 +137,6 @@ def _products_of_degree(gens: list[MPoly], degree: int, nvars: int):
 
     rec(0, degree, MPoly.const(nvars, 1))
     return [p for p in out if not p.is_zero() and p.total_degree() == degree]
-
-
-def _gcd_int(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- matrix helpers over MPoly ------------------------------------------------------------
@@ -404,7 +339,7 @@ def _ext_gcd_list(values: list[int]) -> tuple[int, list[int]]:
         g = x * g + y * a
         coeffs = [c * x for c in coeffs]
         coeffs[i] += y
-        assert g == _gcd_int(old_g, a)
+        assert g == math.gcd(old_g, a)
     return g, coeffs
 
 
@@ -612,7 +547,7 @@ def _hom_dim(m: GradedCModule, n: GradedCModule, invs, d: int) -> int:
                 unknowns.append((i, a, mono))
     if not unknowns:
         return 0
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for j, y in enumerate(invs):
         opdeg = 2 * y.total_degree() - 2
         for i, gi in enumerate(m.gens):
@@ -640,40 +575,16 @@ def _hom_dim(m: GradedCModule, n: GradedCModule, invs, d: int) -> int:
                 if not contrib:
                     continue
                 for mono_out in monomials_of_degree(r, t2 // 2):
-                    row = [Fraction(0)] * len(unknowns)
+                    row = [0] * len(unknowns)
                     touched = False
                     for uidx, poly in contrib.items():
                         cc = poly.coeff(mono_out)
                         if cc:
-                            row[uidx] = Fraction(cc)
+                            row[uidx] = cc
                             touched = True
                     if touched:
                         rows.append(row)
-    rank = _row_rank(rows)
-    return len(unknowns) - rank
-
-
-def _row_rank(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
-    work = [row[:] for row in rows]
-    ncols = len(work[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        f = work[rank][c]
-        work[rank] = [x / f for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][c]:
-                g = work[i][c]
-                work[i] = [x - g * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    return len(unknowns) - linalg.rank(rows)
 
 
 def modules_equal(m: GradedCModule, n: GradedCModule) -> bool:

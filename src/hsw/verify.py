@@ -37,14 +37,14 @@ def _report(name: str, checked: int, failures: list, started: float,
         "pass": not failures,
         "checked": checked,
         "failures": [str(f) for f in failures[:8]],
-        "seconds": round(time.time() - started, 3),
+        "seconds": round(time.perf_counter() - started, 3),
         "detail": detail,
     }
 
 
 def check_quadratic(datum: RootDatum) -> dict:
     """Every generator satisfies the quadratic relation."""
-    started = time.time()
+    started = time.perf_counter()
     rows = verify_quadratic_all(datum)
     bad = [r["generator"] for r in rows if not r["pass"]]
     return _report("quadratic", len(rows), bad, started,
@@ -53,7 +53,7 @@ def check_quadratic(datum: RootDatum) -> dict:
 
 def check_bernstein(datum: RootDatum, box: int = 1) -> dict:
     """The defining relations of the commutative family on a coordinate box."""
-    started = time.time()
+    started = time.perf_counter()
     rows = verify_bernstein(datum, box)
     bad = [f"{r['relation']}:{r['case']}" for r in rows if not r["pass"]]
     return _report("bernstein", len(rows), bad, started, detail=f"box={box}")
@@ -66,7 +66,7 @@ def check_length_bfs(datum: RootDatum, max_len: int = 4) -> dict:
     the group layer by layer; the layer index must match the formula on
     every element reached.
     """
-    started = time.time()
+    started = time.perf_counter()
     simples = simple_reflections(datum)
     frontier = list(_twists(datum))
     seen = {x: 0 for x in frontier}
@@ -110,7 +110,7 @@ def check_canonical(datum: RootDatum, max_len: int = 3) -> dict:
     terms in negative powers only, nonnegative coefficients, and a
     nonnegative expansion of the corresponding chain character.
     """
-    started = time.time()
+    started = time.perf_counter()
     from .affine import min_rep
     bad = []
     weights = weights_by_length(datum, max_len)
@@ -145,7 +145,7 @@ def check_canonical(datum: RootDatum, max_len: int = 3) -> dict:
 
 def check_kato(datum: RootDatum, max_len: int = 3) -> dict:
     """Canonical-basis coefficients against graded weight multiplicities."""
-    started = time.time()
+    started = time.perf_counter()
     rows = kato_grid(datum, max_len)
     bad = [f"{r['lambda']},{r['mu']}: {r['lhs']} vs {r['rhs']}"
            for r in rows if not r["pass"]]
@@ -154,7 +154,7 @@ def check_kato(datum: RootDatum, max_len: int = 3) -> dict:
 
 def check_multiplicity(datum: RootDatum, box: int = 1) -> dict:
     """Graded multiplicities at q = 1 against the Freudenthal recursion."""
-    started = time.time()
+    started = time.perf_counter()
     checked = 0
     bad = []
     for eta in itertools.product(range(box + 1), repeat=datum.rank):
@@ -171,7 +171,7 @@ def check_multiplicity(datum: RootDatum, box: int = 1) -> dict:
 def check_projection(datum: RootDatum, n_random: int = 100, max_len: int = 3,
                      seed: int = 7) -> dict:
     """Projection intertwines the products: act(project(a), b) = project(a*b)."""
-    started = time.time()
+    started = time.perf_counter()
     rng = random.Random(seed)
     simples = simple_reflections(datum)
     omegas = _twists(datum)
@@ -194,7 +194,7 @@ def check_projection(datum: RootDatum, n_random: int = 100, max_len: int = 3,
 
 def check_pushforward(datum: RootDatum, max_word: int = 3) -> dict:
     """Chains built in the algebra project onto chains built in the module."""
-    started = time.time()
+    started = time.perf_counter()
     simples = simple_reflections(datum)
     checked = 0
     bad = []
@@ -216,7 +216,7 @@ def check_oracle(datum: RootDatum, max_word: int | None = None,
     In rank one the whole alphabet is available; otherwise only the finite
     wall atoms exist and affine letters are skipped.
     """
-    started = time.time()
+    started = time.perf_counter()
     from .soergel import oracle_vs_hecke
     if max_word is None:
         max_word = 2 if datum.rank == 1 else 1
@@ -250,7 +250,7 @@ def check_modules(datum: RootDatum, seed: int = 7, n_random: int = 6) -> dict:
     that the tensor product must be associative, unital, and multiplicative
     on graded ranks, and rank-one twists must compose.
     """
-    started = time.time()
+    started = time.perf_counter()
     from .affine import translation
     from .soergel import atom_E, atom_for, bs_module, modules_equal, tensor
     rng = random.Random(seed)

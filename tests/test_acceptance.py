@@ -27,27 +27,27 @@ def _verdict(n: int, label: str, failures: list, elapsed: float, budget: float) 
 
 
 def test_acceptance_1_bernstein_relations():
-    started = time.time()
+    started = time.perf_counter()
     failures = []
     for name, box in (("A1", 2), ("A2", 2), ("B2", 1)):
         for row in verify_bernstein(datum_preset(name), box):
             if not row["pass"]:
                 failures.append(f"{name}: {row['relation']} at {row['case']}")
-    _verdict(1, "bernstein relations", failures, time.time() - started, 30.0)
+    _verdict(1, "bernstein relations", failures, time.perf_counter() - started, 30.0)
 
 
 def test_acceptance_2_quadratic_affine():
-    started = time.time()
+    started = time.perf_counter()
     failures = []
     for name in ("A1", "A2", "B2"):
         for row in verify_quadratic_affine(datum_preset(name)):
             if not row["pass"]:
                 failures.append(f"{name}: generator {row['generator']}")
-    _verdict(2, "quadratic relation", failures, time.time() - started, 5.0)
+    _verdict(2, "quadratic relation", failures, time.perf_counter() - started, 5.0)
 
 
 def test_acceptance_3_length_vs_bfs():
-    started = time.time()
+    started = time.perf_counter()
     failures = []
     for name, bound in (("A1", 6), ("A2", 5)):
         r = check_length_bfs(datum_preset(name), max_len=bound)
@@ -55,11 +55,11 @@ def test_acceptance_3_length_vs_bfs():
             failures.extend(f"{name}: {f}" for f in r["failures"])
         if r["checked"] == 0:
             failures.append(f"{name}: empty length enumeration")
-    _verdict(3, "length formula vs BFS", failures, time.time() - started, 60.0)
+    _verdict(3, "length formula vs BFS", failures, time.perf_counter() - started, 60.0)
 
 
 def test_acceptance_4_rank_one_goldens():
-    started = time.time()
+    started = time.perf_counter()
     failures = []
     a1 = datum_preset("A1")
     e = affine_identity(a1)
@@ -83,11 +83,11 @@ def test_acceptance_4_rank_one_goldens():
     dec = decompose_bs(a1, e, (s0, s))
     if dec != {(2,): ONE, (0,): ONE}:
         failures.append(f"decomposition: {dec!r}")
-    _verdict(4, "rank-one goldens", failures, time.time() - started, 30.0)
+    _verdict(4, "rank-one goldens", failures, time.perf_counter() - started, 30.0)
 
 
 def test_acceptance_5_canonical_suite():
-    started = time.time()
+    started = time.perf_counter()
     failures = []
     for name, bound, expect in (("A1", 6, 14), ("A2", 5, 36)):
         r = check_canonical(datum_preset(name), max_len=bound)
@@ -95,11 +95,11 @@ def test_acceptance_5_canonical_suite():
             failures.extend(f"{name}: {f}" for f in r["failures"])
         if r["checked"] != expect:
             failures.append(f"{name}: {r['checked']} weights, expected {expect}")
-    _verdict(5, "canonical basis suite", failures, time.time() - started, 120.0)
+    _verdict(5, "canonical basis suite", failures, time.perf_counter() - started, 120.0)
 
 
 def test_acceptance_6_kato_grid():
-    started = time.time()
+    started = time.perf_counter()
     failures = []
     for name, bound, expect in (("A1", 6, 64), ("A2", 4, 100)):
         rows = kato_grid(datum_preset(name), bound)
@@ -107,11 +107,11 @@ def test_acceptance_6_kato_grid():
             failures.append(f"{name}: {len(rows)} pairs, expected {expect}")
         failures.extend(f"{name}: lambda={r['lambda']} mu={r['mu']}"
                         for r in rows if not r["pass"])
-    _verdict(6, "graded multiplicity identity", failures, time.time() - started, 300.0)
+    _verdict(6, "graded multiplicity identity", failures, time.perf_counter() - started, 300.0)
 
 
 def test_acceptance_7_q_one_specialization():
-    started = time.time()
+    started = time.perf_counter()
     failures = []
     for name, box in (("A1", 2), ("A2", 2), ("B2", 1)):
         r = check_multiplicity(datum_preset(name), box=box)
@@ -119,11 +119,11 @@ def test_acceptance_7_q_one_specialization():
             failures.extend(f"{name}: {f}" for f in r["failures"])
         if r["checked"] == 0:
             failures.append(f"{name}: empty multiplicity sweep")
-    _verdict(7, "q=1 multiplicity oracle", failures, time.time() - started, 60.0)
+    _verdict(7, "q=1 multiplicity oracle", failures, time.perf_counter() - started, 60.0)
 
 
 def test_acceptance_8_module_oracle_grid():
-    started = time.time()
+    started = time.perf_counter()
     failures = []
     a1 = datum_preset("A1")
     e = affine_identity(a1)
@@ -145,11 +145,11 @@ def test_acceptance_8_module_oracle_grid():
                                 f"{row['oracle']} != {row['predicted']}")
     if pairs != 36:
         failures.append(f"{pairs} pairs, expected 36")
-    _verdict(8, "graded module oracle", failures, time.time() - started, 120.0)
+    _verdict(8, "graded module oracle", failures, time.perf_counter() - started, 120.0)
 
 
 def test_acceptance_9_projection_and_pushforward():
-    started = time.time()
+    started = time.perf_counter()
     failures = []
     for name in ("A1", "A2"):
         datum = datum_preset(name)
@@ -161,4 +161,4 @@ def test_acceptance_9_projection_and_pushforward():
         p = check_pushforward(datum, max_word=3)
         if not p["pass"]:
             failures.extend(f"{name} pushforward: {f}" for f in p["failures"])
-    _verdict(9, "projection and pushforward", failures, time.time() - started, 30.0)
+    _verdict(9, "projection and pushforward", failures, time.perf_counter() - started, 30.0)

@@ -137,3 +137,18 @@ def test_json_output_is_deterministic(capsys):
     _, first, _ = run(capsys, args)
     _, second, _ = run(capsys, args)
     assert first == second
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    import hsw.cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("Freudenthal recursion produced a non-integer")
+
+    monkeypatch.setattr(hsw.cli, "lusztig_q", broken)
+    rc, out, err = run(capsys, ["q-analogue", "--datum", "A2",
+                                "--chi", "0,0", "--eta", "1,1"])
+    assert rc == 3
+    assert out == ""
+    assert err == "internal error: Freudenthal recursion produced a non-integer\n"
+    assert "Traceback" not in err

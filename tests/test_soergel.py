@@ -19,6 +19,24 @@ def test_invariant_degrees():
         assert [y.total_degree() for y in fundamental_invariants(d)] == degs
 
 
+def test_invariant_polynomials_golden():
+    # the exact generators depend on how each kernel vector is reduced
+    # modulo the products of lower generators, so they are pinned here
+    want = {
+        "A1": ["u1^2"],
+        "A2": ["u2^2 + u1*u2 + u1^2",
+               "-2*u2^3 - 3*u1*u2^2 + 3*u1^2*u2 + 2*u1^3"],
+        "B2": ["u2^2 + 2*u1*u2 + 2*u1^2", "u2^4 + 4*u1*u2^3 + 4*u1^2*u2^2"],
+        "G2": ["u2^2 + 3*u1*u2 + 3*u1^2",
+               "4*u2^6 + 36*u1*u2^5 + 117*u1^2*u2^4 + 162*u1^3*u2^3 + 81*u1^4*u2^2"],
+        "GL2": ["u2 + u1", "u1*u2"],
+        "GL3": ["u3 + u2 + u1", "u2*u3 + u1*u3 + u1*u2", "u1*u2*u3"],
+        "A1xA1": ["u1^2", "u2^2"],
+    }
+    for name, polys in want.items():
+        assert [str(y) for y in fundamental_invariants(datum_preset(name))] == polys
+
+
 def test_invariants_are_invariant(a2, b2):
     for datum in (a2, b2):
         for y in fundamental_invariants(datum):
