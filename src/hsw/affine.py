@@ -11,10 +11,11 @@ unless it is finite.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .rootdata import (PosRoot, RootDatum, Vec, WeylElt, mat_vec, pair,
-                       vec_add, vec_neg, vec_sub)
+                       vec_add, vec_neg)
 
 
 class AffineElt:
@@ -54,9 +55,6 @@ class AffineElt:
 
     def is_identity(self) -> bool:
         return self.w.is_identity() and not any(self.lam)
-
-    def is_translation(self) -> bool:
-        return self.w.is_identity()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, AffineElt):
@@ -245,7 +243,7 @@ def omega_elements(datum: RootDatum) -> tuple[AffineElt, ...]:
     while len(found) < n:
         if bound > max(4, n + 2):
             raise RuntimeError("failed to locate all length-zero elements")
-        for lam in _box(datum.rank, bound):
+        for lam in itertools.product(range(-bound, bound + 1), repeat=datum.rank):
             el = min_rep(datum, lam)
             if el.length == 0:
                 found.add(el)
@@ -254,13 +252,17 @@ def omega_elements(datum: RootDatum) -> tuple[AffineElt, ...]:
     return st.omegas
 
 
-def _box(rank: int, bound: int):
-    if rank == 0:
-        yield ()
-        return
-    for rest in _box(rank - 1, bound):
-        for x in range(-bound, bound + 1):
-            yield (x,) + rest
+def length_box(datum: RootDatum, max_len: int):
+    """The coordinate box, in lexicographic order, that holds every weight
+    lam whose coset representative min_rep(lam) has length at most max_len.
+
+    Its half-width is max_len + l(w0).  A datum with an infinite fundamental
+    group is refused, since there the set of such weights is infinite.
+    """
+    if datum.fundamental_group_order() is None:
+        raise ValueError("this datum has central directions; the grid is infinite")
+    bound = max_len + datum.longest_element().length
+    return itertools.product(range(-bound, bound + 1), repeat=datum.rank)
 
 
 def parse_weight(text: str, rank: int) -> Vec:

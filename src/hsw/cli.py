@@ -22,7 +22,7 @@ from .affine import (AffineElt, affine_identity, min_rep, parse_weight,
                      parse_word, reduced_word, translation, word_elt)
 from .hecke import HeckeElt, hecke_mul, hecke_T, hecke_theta
 from .laurent import LaurentPoly
-from .qanalogue import dominant_weights_by_length, kato_check, lusztig_q
+from .qanalogue import kato_check, kato_grid, lusztig_q
 from .rootdata import RootDatum, load_datum
 from .spherical import SphElt, bs_char, canonical_basis, decompose_bs, hom_rank, sph_pairing
 from .verify import CHECKS, run_suite
@@ -199,8 +199,7 @@ def _cmd_kato_check(ns, datum: RootDatum) -> int:
             raise ValueError("kato-check needs both --lambda and --mu, or --max-length")
         rows = [kato_check(datum, _weight(datum, ns.lam), _weight(datum, ns.mu))]
     else:
-        lams = dominant_weights_by_length(datum, ns.max_length)
-        rows = [kato_check(datum, lam, mu) for lam in lams for mu in lams]
+        rows = kato_grid(datum, ns.max_length)
     bad = [r for r in rows if not r["pass"]]
     lines = [f"{'PASS' if r['pass'] else 'FAIL'} lambda={listed(r['lambda'])} "
              f"mu={listed(r['mu'])} lhs={r['lhs']} rhs={r['rhs']}" for r in rows]

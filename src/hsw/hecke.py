@@ -16,9 +16,10 @@ of the verified relation battery.
 
 from __future__ import annotations
 
-from .affine import (AffineElt, SimpleReflection, affine_elt, affine_identity,
-                     from_weyl, mul_simple, reduced_word, simple_reflections,
-                     translation)
+import itertools
+
+from .affine import (AffineElt, SimpleReflection, affine_identity, from_weyl,
+                     mul_simple, reduced_word, simple_reflections, translation)
 from .laurent import ONE, ZERO, LaurentPoly, v_power
 from .rootdata import RootDatum, pair, vec_add, vec_scale, vec_sub
 
@@ -63,18 +64,6 @@ class HeckeElt:
     @staticmethod
     def basis(x: AffineElt) -> "HeckeElt":
         return HeckeElt(x.datum, {x: ONE})
-
-    @staticmethod
-    def from_terms(datum: RootDatum, items) -> "HeckeElt":
-        m: dict[AffineElt, LaurentPoly] = {}
-        for x, c in items:
-            c = LaurentPoly.coerce(c)
-            s = m.get(x, ZERO) + c
-            if s:
-                m[x] = s
-            elif x in m:
-                del m[x]
-        return HeckeElt(datum, m)
 
     # -- inspection --------------------------------------------------------------
 
@@ -303,21 +292,8 @@ def hecke_theta(datum: RootDatum, lam) -> HeckeElt:
 # -- relation batteries -----------------------------------------------------------------
 
 
-def verify_quadratic_affine(datum: RootDatum) -> list[dict]:
-    """(T_s0 + v^-1)(T_s0 - v) = 0 for every affine generator, from the rule."""
-    rows = []
-    one = HeckeElt.one(datum)
-    for s in simple_reflections(datum):
-        if s.kind != "affine":
-            continue
-        t = hecke_T(s.elt)
-        prod = hecke_mul(t + one.scale(v_power(-1)), t - one.scale(v_power(1)))
-        rows.append({"relation": "quadratic", "generator": s.label,
-                     "pass": prod.is_zero()})
-    return rows
-
-
 def verify_quadratic_all(datum: RootDatum) -> list[dict]:
+    """(T_s + v^-1)(T_s - v) = 0 for every generator, finite and affine."""
     rows = []
     one = HeckeElt.one(datum)
     for s in simple_reflections(datum):
@@ -328,11 +304,10 @@ def verify_quadratic_all(datum: RootDatum) -> list[dict]:
     return rows
 
 
-def _weights_box(rank: int, bound: int):
-    out = [()]
-    for _ in range(rank):
-        out = [w + (x,) for w in out for x in range(-bound, bound + 1)]
-    return out
+def verify_quadratic_affine(datum: RootDatum) -> list[dict]:
+    """The rows of verify_quadratic_all for the affine generators."""
+    return [r for r, s in zip(verify_quadratic_all(datum), simple_reflections(datum))
+            if s.kind == "affine"]
 
 
 def verify_bernstein(datum: RootDatum, box: int) -> list[dict]:
@@ -353,7 +328,7 @@ def verify_bernstein(datum: RootDatum, box: int) -> list[dict]:
             lhs = hecke_mul(hecke_T(from_weyl(vw)), hecke_T(from_weyl(ww)))
             ok = lhs == hecke_T(from_weyl(vw * ww))
             rows.append({"relation": "B1", "case": f"{vw!r}*{ww!r}", "pass": ok})
-    box_weights = _weights_box(datum.rank, box)
+    box_weights = list(itertools.product(range(-box, box + 1), repeat=datum.rank))
     for lam in box_weights:
         for mu in box_weights:
             lhs = hecke_mul(hecke_theta(datum, lam), hecke_theta(datum, mu))

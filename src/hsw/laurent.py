@@ -1,7 +1,8 @@
 """Exact Laurent polynomials in one variable over the integers.
 
 The single variable is called ``v`` throughout; the q-analogue module reuses
-the same type with the dictionary q = v^(-2) handled by :func:`laurent_substitute`.
+the same type with the dictionary q = v^(-2) handled by
+:meth:`LaurentPoly.substitute_power`.
 Values are immutable and kept in canonical form (no zero coefficients), so
 equality of values is equality of the underlying sparse maps.
 """
@@ -46,10 +47,6 @@ class LaurentPoly:
     @staticmethod
     def const(a: int) -> "LaurentPoly":
         return LaurentPoly({0: a}) if a else ZERO
-
-    @staticmethod
-    def monomial(exponent: int, coeff: int = 1) -> "LaurentPoly":
-        return LaurentPoly({exponent: coeff})
 
     @staticmethod
     def coerce(x: IntLike) -> "LaurentPoly":
@@ -261,7 +258,3 @@ V_INV = LaurentPoly({-1: 1})
 
 def v_power(k: int) -> LaurentPoly:
     return LaurentPoly({k: 1})
-
-
-def laurent_substitute(f: LaurentPoly, k: int) -> LaurentPoly:
-    return f.substitute_power(k)

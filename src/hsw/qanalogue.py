@@ -22,8 +22,8 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .affine import min_rep
-from .laurent import ONE, ZERO, LaurentPoly, laurent_substitute
+from .affine import length_box, min_rep
+from .laurent import ONE, ZERO, LaurentPoly
 from .rootdata import (RootDatum, Vec, pair, vec_add, vec_neg, vec_scale,
                        vec_sub)
 
@@ -321,7 +321,7 @@ def kato_check(datum: RootDatum, lam, mu) -> dict:
     shift = min_rep(datum, mu_star).length - min_rep(datum, vec_neg(mu)).length
     coeff = canonical_basis(datum, lam_star).coeff(vec_neg(mu))
     lhs = coeff * LaurentPoly({shift: 1})
-    rhs = laurent_substitute(lusztig_q(datum, mu_star, lam_star), -2)
+    rhs = lusztig_q(datum, mu_star, lam_star).substitute_power(-2)
     return {
         "lambda": list(lam), "mu": list(mu),
         "lhs": lhs.to_json(), "rhs": rhs.to_json(),
@@ -330,22 +330,10 @@ def kato_check(datum: RootDatum, lam, mu) -> dict:
 
 
 def dominant_weights_by_length(datum: RootDatum, max_len: int) -> list[Vec]:
-    """Dominant weights lam with l(w_{-lam}) <= max_len, by box search."""
-    if datum.fundamental_group_order() is None:
-        raise ValueError("this datum has central directions; the grid is infinite")
-    bound = max_len + datum.longest_element().length
-    out = []
-    for lam in _box_weights(datum.rank, bound):
-        if datum.is_dominant(lam) and min_rep(datum, vec_neg(lam)).length <= max_len:
-            out.append(lam)
-    return sorted(out)
-
-
-def _box_weights(rank: int, bound: int):
-    out = [()]
-    for _ in range(rank):
-        out = [w + (x,) for w in out for x in range(-bound, bound + 1)]
-    return out
+    """Dominant weights lam with l(w_{-lam}) <= max_len, in lexicographic
+    order, by box search."""
+    return [lam for lam in length_box(datum, max_len)
+            if datum.is_dominant(lam) and min_rep(datum, vec_neg(lam)).length <= max_len]
 
 
 def kato_grid(datum: RootDatum, max_len: int) -> list[dict]:

@@ -61,10 +61,6 @@ def mat_vec(m: Matrix, v: Sequence[int]) -> Vec:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
-def mat_transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
-
-
 @dataclass(frozen=True)
 class PosRoot:
     """A positive root with its coroot and both coordinate expansions.
@@ -288,16 +284,17 @@ class RootDatum:
     def weyl_identity(self) -> WeylElt:
         return self._intern_weyl(mat_identity(self.rank))
 
-    def simple_reflection(self, i: int) -> WeylElt:
-        root, cov = self.simple_roots[i], self.simple_coroots[i]
+    def _reflection(self, root: Vec, cov: Vec) -> WeylElt:
+        """The reflection lam -> lam - <lam, cov> root."""
         mat = tuple(tuple((1 if r == c else 0) - root[r] * cov[c] for c in range(self.rank))
                     for r in range(self.rank))
         return self._intern_weyl(mat)
 
+    def simple_reflection(self, i: int) -> WeylElt:
+        return self._reflection(self.simple_roots[i], self.simple_coroots[i])
+
     def reflection_of(self, root: PosRoot) -> WeylElt:
-        mat = tuple(tuple((1 if r == c else 0) - root.vec[r] * root.cov[c]
-                          for c in range(self.rank)) for r in range(self.rank))
-        return self._intern_weyl(mat)
+        return self._reflection(root.vec, root.cov)
 
     def weyl_elements(self) -> tuple[WeylElt, ...]:
         """All Weyl elements in breadth-first order from the identity."""

@@ -439,21 +439,28 @@ def tensor(m: GradedCModule, n: GradedCModule) -> GradedCModule:
         return i * sn + k
 
     zero = MPoly.zero(nv)
-    invs = fundamental_invariants(datum)
-    theta_out = []
-    for j in range(len(invs)):
+
+    def carried(table) -> list:
+        """The first factor's table, its entries carried across the second
+        factor by its left table."""
         mat = [[zero] * size for _ in range(size)]
         for i in range(sm):
             for a in range(sm):
-                p = m.theta[j][a][i]
+                p = table[a][i]
                 if p.is_zero():
                     continue
-                carried = n._eval_poly(p)
+                across = n._eval_poly(p)
                 for k in range(sn):
                     for bq in range(sn):
-                        val = carried[bq][k]
+                        val = across[bq][k]
                         if not val.is_zero():
                             mat[idx(a, bq)][idx(i, k)] = mat[idx(a, bq)][idx(i, k)] + val
+        return mat
+
+    invs = fundamental_invariants(datum)
+    theta_out = []
+    for j in range(len(invs)):
+        mat = carried(m.theta[j])
         for i in range(sm):
             for k in range(sn):
                 for bq in range(sn):
@@ -461,21 +468,7 @@ def tensor(m: GradedCModule, n: GradedCModule) -> GradedCModule:
                     if not val.is_zero():
                         mat[idx(i, bq)][idx(i, k)] = mat[idx(i, bq)][idx(i, k)] + val
         theta_out.append(mat)
-    left_out = []
-    for c in range(nv):
-        mat = [[zero] * size for _ in range(size)]
-        for i in range(sm):
-            for a in range(sm):
-                p = m.left[c][a][i]
-                if p.is_zero():
-                    continue
-                carried = n._eval_poly(p)
-                for k in range(sn):
-                    for bq in range(sn):
-                        val = carried[bq][k]
-                        if not val.is_zero():
-                            mat[idx(a, bq)][idx(i, k)] = mat[idx(a, bq)][idx(i, k)] + val
-        left_out.append(mat)
+    left_out = [carried(m.left[c]) for c in range(nv)]
     return GradedCModule(datum, gens, theta_out, left_out)
 
 

@@ -14,8 +14,7 @@ coefficient lies in v^-1 Z[v^-1].
 
 from __future__ import annotations
 
-from .affine import (AffineElt, SimpleReflection, min_rep, mul_simple,
-                     reduced_word, simple_reflections)
+from .affine import AffineElt, SimpleReflection, min_rep, mul_simple, reduced_word
 from .hecke import HeckeElt, hecke_T, hecke_bar_T, hecke_mul
 from .laurent import ONE, ZERO, LaurentPoly, v_power
 from .rootdata import RootDatum, Vec

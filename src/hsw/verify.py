@@ -12,10 +12,10 @@ import itertools
 import random
 import time
 
-from .affine import (affine_identity, omega_elements, reduced_word,
-                     simple_reflections)
+from .affine import (affine_identity, length_box, min_rep, omega_elements,
+                     reduced_word, simple_reflections)
 from .hecke import hecke_mul, hecke_T, verify_bernstein, verify_quadratic_all
-from .laurent import ONE, LaurentPoly
+from .laurent import ONE, LaurentPoly, v_power
 from .qanalogue import freudenthal_mult, kato_grid, lusztig_q, weights_of_irrep
 from .rootdata import RootDatum
 from .spherical import (bs_char, canonical_basis, decompose_bs, fl_bs_char,
@@ -90,17 +90,10 @@ def check_length_bfs(datum: RootDatum, max_len: int = 4) -> dict:
 
 
 def weights_by_length(datum: RootDatum, max_len: int) -> list:
-    """All weights whose coset representative has length at most max_len."""
-    from .affine import min_rep
-    if datum.fundamental_group_order() is None:
-        raise ValueError("this datum has central directions; the set is infinite")
-    bound = max_len + datum.longest_element().length
-    out = []
-    for lam in itertools.product(range(-bound, bound + 1), repeat=datum.rank):
-        if min_rep(datum, lam).length <= max_len:
-            out.append(lam)
-    out.sort()
-    return out
+    """All weights whose coset representative has length at most max_len,
+    in lexicographic order."""
+    return [lam for lam in length_box(datum, max_len)
+            if min_rep(datum, lam).length <= max_len]
 
 
 def check_canonical(datum: RootDatum, max_len: int = 3) -> dict:
@@ -111,7 +104,6 @@ def check_canonical(datum: RootDatum, max_len: int = 3) -> dict:
     nonnegative expansion of the corresponding chain character.
     """
     started = time.perf_counter()
-    from .affine import min_rep
     bad = []
     weights = weights_by_length(datum, max_len)
     for lam in weights:
@@ -209,6 +201,15 @@ def check_pushforward(datum: RootDatum, max_word: int = 3) -> dict:
     return _report("pushforward", checked, bad, started, detail=f"max_word={max_word}")
 
 
+def _oracle_alphabet(datum: RootDatum) -> list:
+    """Every letter in rank one; otherwise the finite letters, since the
+    affine wall atom of the module oracle exists in rank one only."""
+    simples = simple_reflections(datum)
+    if datum.rank == 1 and datum.nsimples == 1:
+        return list(simples)
+    return [s for s in simples if s.kind == "finite"]
+
+
 def check_oracle(datum: RootDatum, max_word: int | None = None,
                  cutoff: int = 16) -> dict:
     """Graded Hom ranks of chain modules against the pairing prediction.
@@ -220,11 +221,7 @@ def check_oracle(datum: RootDatum, max_word: int | None = None,
     from .soergel import oracle_vs_hecke
     if max_word is None:
         max_word = 2 if datum.rank == 1 else 1
-    simples = simple_reflections(datum)
-    if datum.rank == 1 and datum.nsimples == 1:
-        alphabet = list(simples)
-    else:
-        alphabet = [s for s in simples if s.kind == "finite"]
+    alphabet = _oracle_alphabet(datum)
     e = affine_identity(datum)
     chains = [(om, ()) for om in _twists(datum)]
     for n in range(1, max_word + 1):
@@ -254,11 +251,7 @@ def check_modules(datum: RootDatum, seed: int = 7, n_random: int = 6) -> dict:
     from .affine import translation
     from .soergel import atom_E, atom_for, bs_module, modules_equal, tensor
     rng = random.Random(seed)
-    simples = simple_reflections(datum)
-    if datum.rank == 1 and datum.nsimples == 1:
-        alphabet = list(simples)
-    else:
-        alphabet = [s for s in simples if s.kind == "finite"]
+    alphabet = _oracle_alphabet(datum)
     e = affine_identity(datum)
     unit = atom_E(datum, e)
     bad = []
@@ -266,7 +259,7 @@ def check_modules(datum: RootDatum, seed: int = 7, n_random: int = 6) -> dict:
     for _ in range(n_random):
         word = tuple(rng.choice(alphabet) for _ in range(rng.randrange(1, 4)))
         m = bs_module(datum, e, word)
-        if m.grk() != _word_grk(datum, word):
+        if m.grk() != _word_grk(word):
             bad.append(f"grk of {[s.label for s in word]}")
         if not modules_equal(tensor(unit, m), m):
             bad.append(f"left unit on {[s.label for s in word]}")
@@ -280,7 +273,7 @@ def check_modules(datum: RootDatum, seed: int = 7, n_random: int = 6) -> dict:
         if not modules_equal(lhs, rhs):
             bad.append("associativity on random atoms")
         checked += 1
-    box = [t for t in itertools.product(range(-1, 2), repeat=datum.rank)]
+    box = list(itertools.product(range(-1, 2), repeat=datum.rank))
     for _ in range(n_random):
         x = rng.choice(_twists(datum)) * translation(datum, rng.choice(box))
         y = rng.choice(_twists(datum)) * translation(datum, rng.choice(box))
@@ -290,12 +283,8 @@ def check_modules(datum: RootDatum, seed: int = 7, n_random: int = 6) -> dict:
     return _report("modules", checked, bad, started, detail=f"seed={seed}")
 
 
-def _word_grk(datum: RootDatum, word) -> LaurentPoly:
-    from .laurent import v_power
-    out = ONE
-    for _ in word:
-        out = out * (v_power(-1) + v_power(1))
-    return out
+def _word_grk(word) -> LaurentPoly:
+    return (v_power(-1) + v_power(1)) ** len(word)
 
 
 CHECKS = {

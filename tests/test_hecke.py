@@ -9,6 +9,7 @@ from hsw.hecke import (HeckeElt, hecke_bar, hecke_inv_T, hecke_mul, hecke_T,
                        hecke_theta, verify_bernstein, verify_quadratic_affine,
                        verify_quadratic_all)
 from hsw.laurent import ONE, ZERO, LaurentPoly, v_power
+from hsw.rootdata import datum_preset
 
 
 def rand_elt(datum, rng, max_len=4):
@@ -19,9 +20,14 @@ def rand_elt(datum, rng, max_len=4):
 
 
 def test_quadratic_all(a1, a2, b2):
-    for datum in (a1, a2, b2):
-        assert all(r["pass"] for r in verify_quadratic_all(datum))
+    for datum in (a1, a2, b2, datum_preset("A1xA1")):
+        rows = verify_quadratic_all(datum)
+        assert all(r["pass"] for r in rows)
         assert all(r["pass"] for r in verify_quadratic_affine(datum))
+        # affine generators are the ones labeled s0 or s0:k
+        affine_rows = [r for r in rows if r["generator"].startswith("s0")]
+        assert verify_quadratic_affine(datum) == affine_rows
+        assert len(affine_rows) == len(datum.components())
 
 
 def test_t_basis_multiplication_golden(a1):

@@ -5,6 +5,7 @@ from hsw.qanalogue import (dominant_weights_by_length, freudenthal_mult,
                            kato_check, kato_grid, kostant_q, lusztig_q,
                            root_coords_int, weights_of_irrep, weyl_dim)
 from hsw.rootdata import datum_preset
+from hsw.verify import weights_by_length
 
 
 def test_kostant_goldens(a1, a2):
@@ -89,14 +90,22 @@ def test_kato_grid_small(a1):
     assert all(r["pass"] for r in rows)
 
 
-def test_dominant_weights_by_length(a1, a2):
+def test_dominant_weights_by_length(a1, a2, b2, g2):
     assert dominant_weights_by_length(a1, 6) == [(k,) for k in range(8)]
     assert dominant_weights_by_length(a2, 4) == [
         (0, 0), (0, 1), (0, 2), (0, 3), (1, 0),
         (1, 1), (1, 2), (2, 0), (2, 1), (3, 0)]
+    assert dominant_weights_by_length(b2, 3) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+    assert dominant_weights_by_length(g2, 3) == [(0, 0), (0, 1)]
+    assert dominant_weights_by_length(datum_preset("A1xA1"), 3) == [
+        (0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 1), (1, 2), (1, 3),
+        (1, 4), (2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (4, 0),
+        (4, 1)]
 
 
 def test_grid_rejects_central_directions():
     gl2 = datum_preset("GL2")
     with pytest.raises(ValueError):
         dominant_weights_by_length(gl2, 2)
+    with pytest.raises(ValueError):
+        weights_by_length(gl2, 2)

@@ -1,3 +1,4 @@
+from hsw.rootdata import datum_preset
 from hsw.verify import (CHECKS, FAST_CHECKS, check_canonical, check_oracle,
                         run_suite, weights_by_length)
 
@@ -15,11 +16,15 @@ def test_report_shape(a1):
     assert r["failures"] == []
 
 
-def test_weights_by_length(a1, a2):
+def test_weights_by_length(a1, a2, b2, g2):
     assert weights_by_length(a1, 2) == [(-3,), (-2,), (-1,), (0,), (1,), (2,)]
     got = weights_by_length(a2, 2)
     assert (0, 0) in got and (0, 1) in got and (1, 0) in got
     assert len(got) == 12
+    for datum, count in ((b2, 10), (g2, 4), (datum_preset("A1xA1"), 40)):
+        got = weights_by_length(datum, 3)
+        assert len(got) == count
+        assert got == sorted(got)
 
 
 def test_fast_suite_passes(a1):
