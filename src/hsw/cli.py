@@ -68,6 +68,17 @@ def _omega_of(datum: RootDatum, text: str | None) -> AffineElt:
     return om
 
 
+def _count(text: str) -> int:
+    """A nonnegative integer option: a bound, a box half-width or a trial count."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
+
+
 def _elt_text(x: AffineElt) -> str:
     data = x.to_json()
     word = ",".join(f"s{i}" for i in data["w_word"]) or "e"
@@ -337,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="canonical-basis coefficient vs graded multiplicity")
     p.add_argument("--lambda", dest="lam", default=None)
     p.add_argument("--mu", default=None)
-    p.add_argument("--max-length", type=int, default=2,
+    p.add_argument("--max-length", type=_count, default=2,
                    help="grid bound when no single pair is given")
     p.set_defaults(fn=_cmd_kato_check)
 
@@ -347,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left-word", default=None)
     p.add_argument("--right-omega", default=None)
     p.add_argument("--right-word", default=None)
-    p.add_argument("--max-word", type=int, default=None,
+    p.add_argument("--max-word", type=_count, default=None,
                    help="grid word bound when no single pair is given")
     p.add_argument("--cutoff", type=int, default=16, help="even degree window bound")
     p.set_defaults(fn=_cmd_oracle_check)
@@ -356,10 +367,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run the cross-check property suite")
     p.add_argument("--checks", default=None,
                    help=f"comma list from: {', '.join(CHECKS)}")
-    p.add_argument("--box", type=int, default=1)
-    p.add_argument("--max-length", type=int, default=3)
-    p.add_argument("--max-word", type=int, default=None)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--box", type=_count, default=1)
+    p.add_argument("--max-length", type=_count, default=3)
+    p.add_argument("--max-word", type=_count, default=None)
+    p.add_argument("--trials", type=_count, default=50)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--cutoff", type=int, default=16)
     p.set_defaults(fn=_cmd_verify)

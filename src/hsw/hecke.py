@@ -7,11 +7,21 @@ generator follows
     T_y T_s = T_{ys}                      when l(ys) > l(y)
     T_y T_s = T_{ys} + (v - v^-1) T_y     when l(ys) < l(y)
 
-and T_y T_om = T_{y om} for length-zero om.  General products factor the
-right operand through its reduced word.  The commutative family theta_lam
-is defined by theta_lam = T_{t_mu} T_{t_nu}^{-1} for any splitting
-lam = mu - nu into dominant weights; independence of the splitting is part
-of the verified relation battery.
+and T_y T_om = T_{y om} for length-zero om.  Its inverse is applied in the
+same single pass:
+
+    T_y T_s^-1 = T_{ys}                   when l(ys) < l(y)
+    T_y T_s^-1 = T_{ys} - (v - v^-1) T_y  when l(ys) > l(y)
+
+General products (``hecke_mul``) expand the right operand in the standard
+basis and factor each of its terms through a reduced word.  An operand that
+is known as a product of basis symbols and their inverses is applied by
+``hecke_mul_factors`` one letter at a time instead, and is never expanded.
+The commutative family theta_lam is defined by theta_lam = T_{t_mu}
+T_{t_nu}^{-1} for any splitting lam = mu - nu into dominant weights; those
+two factors are ``theta_factors``.  Independence of the splitting is part of
+the verified relation battery, which multiplies by thetas in factored form
+and keeps ``hecke_mul`` as the general product the tests check it against.
 """
 
 from __future__ import annotations
@@ -166,16 +176,23 @@ def _rmul_simple(datum: RootDatum, m: dict, s: SimpleReflection) -> dict:
 
 
 def _rmul_simple_inv(datum: RootDatum, m: dict, s: SimpleReflection) -> dict:
-    # T_s^{-1} = T_s - (v - v^-1)
-    out = _rmul_simple(datum, m, s)
+    out: dict[AffineElt, LaurentPoly] = {}
     for y, c in m.items():
-        d = c * _XI
-        a = out.get(y)
-        a = -d if a is None else a - d
+        ys = mul_simple(y, s)
+        a = out.get(ys)
+        a = c if a is None else a + c
         if a:
-            out[y] = a
-        elif y in out:
-            del out[y]
+            out[ys] = a
+        elif ys in out:
+            del out[ys]
+        if ys.length > y.length:
+            d = c * _XI
+            a = out.get(y)
+            a = -d if a is None else a - d
+            if a:
+                out[y] = a
+            elif y in out:
+                del out[y]
     return out
 
 
@@ -207,6 +224,32 @@ def hecke_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
     return HeckeElt(datum, acc)
 
 
+def hecke_mul_factors(a: HeckeElt, factors) -> HeckeElt:
+    """The product a * F_1 * ... * F_k for factors given as pairs (x, sign),
+    where F is T_x for sign +1 and T_x^{-1} for sign -1.
+
+    Each factor is applied one letter of its reduced word at a time, so the
+    operand is never expanded in the standard basis.
+    """
+    datum = a.datum
+    cur = a._m
+    for x, sign in factors:
+        if x.datum is not datum:
+            raise ValueError("operands live over different data")
+        om, word = reduced_word(x)
+        if sign == 1:
+            cur = _rmul_omega(datum, cur, om)
+            for s in word:
+                cur = _rmul_simple(datum, cur, s)
+        elif sign == -1:
+            for s in reversed(word):
+                cur = _rmul_simple_inv(datum, cur, s)
+            cur = _rmul_omega(datum, cur, om.inverse())
+        else:
+            raise ValueError(f"factor sign must be 1 or -1, not {sign!r}")
+    return HeckeElt(datum, cur)
+
+
 def hecke_T(x: AffineElt) -> HeckeElt:
     return HeckeElt.basis(x)
 
@@ -215,16 +258,10 @@ def hecke_inv_T(x: AffineElt) -> HeckeElt:
     """The inverse of the basis symbol T_x."""
     st = _hstate(x.datum)
     cached = st.inv_T.get(x)
-    if cached is not None:
-        return cached
-    om, word = reduced_word(x)
-    cur = {affine_identity(x.datum): ONE}
-    for s in reversed(word):
-        cur = _rmul_simple_inv(x.datum, cur, s)
-    cur = _rmul_omega(x.datum, cur, om.inverse())
-    out = HeckeElt(x.datum, cur)
-    st.inv_T[x] = out
-    return out
+    if cached is None:
+        cached = hecke_mul_factors(HeckeElt.one(x.datum), ((x, -1),))
+        st.inv_T[x] = cached
+    return cached
 
 
 def hecke_bar_T(x: AffineElt) -> HeckeElt:
@@ -268,6 +305,18 @@ def _dominant_split(datum: RootDatum, lam: tuple) -> tuple[tuple, tuple]:
     return vec_add(lam, nu), nu
 
 
+def theta_factors(datum: RootDatum, lam) -> list[tuple[AffineElt, int]]:
+    """theta_lam as factors for ``hecke_mul_factors``: T_{t_mu}, then
+    T_{t_nu}^{-1} when nu is nonzero, for the dominant splitting lam = mu - nu."""
+    mu, nu = _dominant_split(datum, lam)
+    if not datum.is_dominant(mu) or not datum.is_dominant(nu):
+        raise RuntimeError(f"dominant splitting failed for {lam}")
+    factors = [(translation(datum, mu), 1)]
+    if any(nu):
+        factors.append((translation(datum, nu), -1))
+    return factors
+
+
 def hecke_theta(datum: RootDatum, lam) -> HeckeElt:
     """The commuting basis element attached to a weight.
 
@@ -277,16 +326,10 @@ def hecke_theta(datum: RootDatum, lam) -> HeckeElt:
     lam = tuple(int(x) for x in lam)
     st = _hstate(datum)
     cached = st.theta.get(lam)
-    if cached is not None:
-        return cached
-    mu, nu = _dominant_split(datum, lam)
-    if not datum.is_dominant(mu) or not datum.is_dominant(nu):
-        raise RuntimeError(f"dominant splitting failed for {lam}")
-    out = hecke_T(translation(datum, mu))
-    if any(nu):
-        out = hecke_mul(out, hecke_inv_T(translation(datum, nu)))
-    st.theta[lam] = out
-    return out
+    if cached is None:
+        cached = hecke_mul_factors(HeckeElt.one(datum), theta_factors(datum, lam))
+        st.theta[lam] = cached
+    return cached
 
 
 # -- relation batteries -----------------------------------------------------------------
@@ -330,8 +373,9 @@ def verify_bernstein(datum: RootDatum, box: int) -> list[dict]:
             rows.append({"relation": "B1", "case": f"{vw!r}*{ww!r}", "pass": ok})
     box_weights = list(itertools.product(range(-box, box + 1), repeat=datum.rank))
     for lam in box_weights:
+        th = hecke_theta(datum, lam)
         for mu in box_weights:
-            lhs = hecke_mul(hecke_theta(datum, lam), hecke_theta(datum, mu))
+            lhs = hecke_mul_factors(th, theta_factors(datum, mu))
             ok = lhs == hecke_theta(datum, vec_add(lam, mu))
             rows.append({"relation": "B2", "case": f"{lam}+{mu}", "pass": ok})
     finite = [s for s in simple_reflections(datum) if s.kind == "finite"]
@@ -339,12 +383,13 @@ def verify_bernstein(datum: RootDatum, box: int) -> list[dict]:
         ts = hecke_T(s.elt)
         for lam in box_weights:
             p = pair(lam, datum.simple_coroots[s.index])
-            th = hecke_theta(datum, lam)
             if p == 0:
-                ok = hecke_mul(ts, th) == hecke_mul(th, ts)
+                lhs = hecke_mul_factors(ts, theta_factors(datum, lam))
+                ok = lhs == hecke_mul(hecke_theta(datum, lam), ts)
                 rows.append({"relation": "B3", "case": f"{s.label},{lam}", "pass": ok})
             elif p == 1:
-                shifted = hecke_theta(datum, vec_sub(lam, datum.simple_roots[s.index]))
-                ok = th == hecke_mul(hecke_mul(ts, shifted), ts)
+                shifted = theta_factors(datum, vec_sub(lam, datum.simple_roots[s.index]))
+                rhs = hecke_mul_factors(ts, shifted + [(s.elt, 1)])
+                ok = hecke_theta(datum, lam) == rhs
                 rows.append({"relation": "B4", "case": f"{s.label},{lam}", "pass": ok})
     return rows

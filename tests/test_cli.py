@@ -111,6 +111,21 @@ def test_verify_subset(capsys):
     assert [r["name"] for r in data["reports"]] == ["quadratic", "length"]
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--checks", "projection", "--trials", "-3"],
+    ["verify", "--checks", "bernstein", "--box", "-1"],
+    ["verify", "--checks", "length", "--max-length", "-1"],
+    ["verify", "--checks", "pushforward", "--max-word", "-2"],
+    ["kato-check", "--max-length", "-1"],
+    ["oracle-check", "--max-word", "-1"],
+])
+def test_negative_count_is_input_error(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "must be nonnegative" in capsys.readouterr().err
+
+
 def test_unknown_datum_is_input_error(capsys):
     rc, _, err = run(capsys, ["length", "--datum", "NOPE"])
     assert rc == 2

@@ -3,17 +3,22 @@ import random
 
 import pytest
 
-from hsw.affine import (affine_identity, omega_elements, simple_reflections,
-                        translation)
-from hsw.hecke import (HeckeElt, hecke_bar, hecke_inv_T, hecke_mul, hecke_T,
-                       hecke_theta, verify_bernstein, verify_quadratic_affine,
+from hsw.affine import (affine_identity, min_rep, omega_elements,
+                        reduced_word, simple_reflections, translation)
+from hsw.hecke import (HeckeElt, _dominant_split, hecke_bar, hecke_inv_T,
+                       hecke_mul, hecke_mul_factors, hecke_T, hecke_theta,
+                       verify_bernstein, verify_quadratic_affine,
                        verify_quadratic_all)
 from hsw.laurent import ONE, ZERO, LaurentPoly, v_power
 from hsw.rootdata import datum_preset
 
 
 def rand_elt(datum, rng, max_len=4):
-    x = rng.choice(omega_elements(datum))
+    if datum.fundamental_group_order() is None:
+        # the length-zero subgroup is infinite: start from a coset representative
+        x = min_rep(datum, tuple(rng.randrange(-1, 2) for _ in range(datum.rank)))
+    else:
+        x = rng.choice(omega_elements(datum))
     for _ in range(rng.randrange(max_len + 1)):
         x = x * rng.choice(simple_reflections(datum)).elt
     return x
@@ -39,13 +44,53 @@ def test_t_basis_multiplication_golden(a1):
     assert sq.coeff(s.elt) == LaurentPoly({1: 1, -1: -1})
 
 
-def test_inverses_random(a2):
+def test_inverses_random(a2, g2):
     rng = random.Random(42)
-    one = HeckeElt.one(a2)
-    for _ in range(25):
-        x = rand_elt(a2, rng)
-        assert hecke_mul(hecke_T(x), hecke_inv_T(x)) == one
-        assert hecke_mul(hecke_inv_T(x), hecke_T(x)) == one
+    for datum in (a2, g2, datum_preset("GL3")):
+        one = HeckeElt.one(datum)
+        for _ in range(25):
+            x = rand_elt(datum, rng)
+            assert hecke_mul(hecke_T(x), hecke_inv_T(x)) == one
+            assert hecke_mul(hecke_inv_T(x), hecke_T(x)) == one
+
+
+def inverse_by_word(x):
+    """T_x^{-1} through hecke_mul alone, from T_s^{-1} = T_s - (v - v^-1)."""
+    one = HeckeElt.one(x.datum)
+    om, word = reduced_word(x)
+    out = one
+    for s in reversed(word):
+        out = hecke_mul(out, hecke_T(s.elt) - one.scale(v_power(1) - v_power(-1)))
+    return hecke_mul(out, hecke_T(om.inverse()))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "GL3"])
+def test_mul_factors_matches_expanded_product(name):
+    datum = datum_preset(name)
+    rng = random.Random(name)
+    coeffs = [ONE, LaurentPoly({1: 1, -1: -1}), LaurentPoly({-2: 3, 1: -1})]
+    for _ in range(12):
+        a = HeckeElt.zero(datum)
+        for _ in range(rng.randrange(1, 4)):
+            a = a + hecke_T(rand_elt(datum, rng, 3)).scale(rng.choice(coeffs))
+        factors = [(rand_elt(datum, rng, 3), rng.choice((1, -1)))
+                   for _ in range(rng.randrange(1, 4))]
+        expected = a
+        for x, sign in factors:
+            expected = hecke_mul(expected, hecke_T(x) if sign == 1 else inverse_by_word(x))
+        assert hecke_mul_factors(a, factors) == expected
+
+
+@pytest.mark.parametrize("name", ["A1", "B2", "G2", "GL3"])
+def test_theta_matches_expanded_ratio(name):
+    # theta_lam = T_{t_mu} T_{t_nu}^{-1}, as hecke_theta computed it before it
+    # multiplied by the factors letter by letter
+    datum = datum_preset(name)
+    for lam in itertools.product(range(-2, 3), repeat=datum.rank):
+        mu, nu = _dominant_split(datum, lam)
+        expected = hecke_mul(hecke_T(translation(datum, mu)),
+                             hecke_inv_T(translation(datum, nu)))
+        assert hecke_theta(datum, lam) == expected
 
 
 def test_lengths_add_multiplicatively(a2):
@@ -107,11 +152,14 @@ def test_theta_additive(a1, a2):
                 assert prod == hecke_theta(datum, total)
 
 
-def test_bernstein_battery_small(a1):
-    rows = verify_bernstein(a1, 1)
-    assert rows and all(r["pass"] for r in rows)
-    kinds = {r["relation"] for r in rows}
-    assert {"B1", "B2"} <= kinds
+def test_bernstein_battery_small(a1, g2):
+    # GL3 is the one preset whose thetas take the 2rho fallback of the splitting
+    for datum, count in ((a1, 14), (g2, 146), (datum_preset("GL3"), 776)):
+        rows = verify_bernstein(datum, 1)
+        assert len(rows) == count
+        assert all(r["pass"] for r in rows)
+        kinds = {r["relation"] for r in rows}
+        assert {"B1", "B2"} <= kinds
 
 
 def test_elt_container_laws(a1):
