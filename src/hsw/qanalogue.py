@@ -26,6 +26,7 @@ from .affine import length_box, min_rep
 from .laurent import ONE, ZERO, LaurentPoly
 from .rootdata import (RootDatum, Vec, pair, vec_add, vec_neg, vec_scale,
                        vec_sub)
+from .worklist import fill
 
 
 class _QState:
@@ -200,31 +201,27 @@ def _form(datum: RootDatum, x_coords, y) -> Fraction:
 def freudenthal_mult(datum: RootDatum, eta, chi) -> int:
     """Ungraded multiplicity of chi in the module of highest weight eta,
     by the Freudenthal recursion (independent of the alternating sum).
+
+    Each value needs only dominant weights strictly closer to eta; they are
+    filled from an explicit stack (``hsw.worklist``), not by Python recursion.
     """
     eta = tuple(int(x) for x in eta)
     chi = tuple(int(x) for x in chi)
     if not datum.is_dominant(eta):
         raise ValueError(f"highest weight {eta} must be dominant")
     st = _qstate(datum)
-    memo = st.freud.setdefault(eta, {})
+    memo = st.freud.setdefault(eta, {eta: 1})
     two_rho = datum.two_rho()
     # doubled arguments throughout: B(2x, 2y) = 4 B(x, y) cancels in the ratio
     eta2 = vec_scale(2, eta)
 
-    def mult(chip: Vec) -> int:
-        if chip == eta:
-            return 1
-        cached = memo.get(chip)
-        if cached is not None:
-            return cached
+    def mult(chip: Vec):
         gap = root_coords_int(datum, vec_sub(eta, chip))
         if gap is None or any(x < 0 for x in gap):
-            memo[chip] = 0
             return 0
         chip2 = vec_scale(2, chip)
         denom = _form(datum, vec_scale(2, gap), vec_add(vec_add(eta2, chip2), vec_scale(2, two_rho)))
         if denom == 0:
-            memo[chip] = 0
             return 0
         total = Fraction(0)
         for r in datum.positive_roots():
@@ -235,7 +232,7 @@ def freudenthal_mult(datum: RootDatum, eta, chi) -> int:
                 gap2 = root_coords_int(datum, vec_sub(eta, mup))
                 if gap2 is None or any(x < 0 for x in gap2):
                     break
-                m = mult(mup)
+                m = yield mup
                 if m:
                     total += m * _form(datum, vec_scale(2, r.root_coords),
                                        vec_scale(2, mu))
@@ -243,10 +240,9 @@ def freudenthal_mult(datum: RootDatum, eta, chi) -> int:
         val = 2 * total / denom
         if val.denominator != 1:
             raise RuntimeError("Freudenthal recursion produced a non-integer")
-        memo[chip] = int(val)
-        return memo[chip]
+        return int(val)
 
-    return mult(datum.dominant_rep(chi))
+    return fill(memo, datum.dominant_rep(chi), mult)
 
 
 def weyl_dim(datum: RootDatum, eta) -> int:

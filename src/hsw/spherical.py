@@ -6,18 +6,26 @@ of its translation coset) to v^{l(u)} m_lam.  Characters of Bott-Samelson
 type are built by acting with C_s = T_s + v^-1 on the basepoint m_0, an
 optional length-zero twist in front.
 
-The canonical basis is computed by the standard bar-triangular recursion:
-start from a product of C_s factors (bar-invariant by construction) and
-strip symmetrized coefficients at lower terms until every off-top
-coefficient lies in v^-1 Z[v^-1].
+The canonical basis is computed by Soergel's recursion (Represent. Theory 1
+(1997), sections 3-4).  If the reduced word of w_lam is (omega, s_1 ... s_k),
+its prefix w_lam s_k is the representative of a weight lam' of length
+k - 1, and the element at lam' times C_{s_k} is bar-invariant with top term
+m_lam; symmetrized coefficients at lower terms are then stripped until every
+off-top coefficient lies in v^-1 Z[v^-1].  Shorter elements come from an
+explicit stack (``hsw.worklist``), not from Python recursion.  The former
+algorithm, which starts from the whole chain of C_s factors, is kept as
+``canonical_basis_reference``, the oracle of the ``canonical`` check.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .affine import AffineElt, SimpleReflection, min_rep, mul_simple, reduced_word
 from .hecke import HeckeElt, hecke_T, hecke_bar_T, hecke_mul
 from .laurent import ONE, ZERO, LaurentPoly, v_power
 from .rootdata import RootDatum, Vec
+from .worklist import fill
 
 _VINV = v_power(-1)
 _XI = LaurentPoly({1: 1, -1: -1})
@@ -265,16 +273,59 @@ def canonical_basis(datum: RootDatum, lam) -> SphElt:
 
     Characterized by bar-invariance together with c = m_lam + (terms with
     coefficients in v^-1 Z[v^-1] at weights of strictly smaller coset length).
+
+    Built by Soergel's recursion: for the reduced word (omega, s_1 ... s_k) of
+    w_lam the start is the element at the weight of the prefix w_lam s_k
+    times C_{s_k}, or m_lam when k = 0, and lower terms are stripped with
+    elements of shorter weights.  Every element it needs is filled first from
+    an explicit stack, each entry shorter than the one beneath it, so the
+    answer does not depend on the recursion limit.
     """
-    lam = tuple(int(x) for x in lam)
-    st = _sstate(datum)
-    cached = st.canonical.get(lam)
-    if cached is not None:
-        return cached
+    return fill(_sstate(datum).canonical, tuple(int(x) for x in lam),
+                partial(_prefix_steps, datum))
+
+
+def canonical_basis_reference(datum: RootDatum, weights) -> dict[Vec, SphElt]:
+    """The canonical elements at the given weights by the full-chain algorithm.
+
+    Each start is the chain character of a whole reduced word of w_lam; the
+    strip is the same as in canonical_basis.  The memo lives for this call
+    only: it never reads or fills the datum's table, so the result is an
+    oracle for canonical_basis.
+    """
+    memo: dict[Vec, SphElt] = {}
+    steps = partial(_chain_steps, datum)
+    return {lam: fill(memo, lam, steps)
+            for lam in (tuple(int(x) for x in weight) for weight in weights)}
+
+
+def _prefix_steps(datum: RootDatum, lam: Vec):
+    """Frame of canonical_basis at lam (see hsw.worklist)."""
     w = min_rep(datum, lam)
-    om, word = reduced_word(w)
-    cur = bs_char(datum, om, word)
-    top_len = w.length
+    _, word = reduced_word(w)
+    if not word:
+        start = SphElt.basis(datum, lam)
+    else:
+        s = word[-1]
+        p = mul_simple(w, s)
+        if p.length != len(word) - 1 or min_rep(datum, p.lam) != p:
+            raise RuntimeError(f"the prefix {p!r} of the reduced word at {lam} "
+                               f"is not the representative of {p.lam}")
+        start = _act_cs((yield p.lam), s)
+    return (yield from _strip(datum, lam, start))
+
+
+def _chain_steps(datum: RootDatum, lam: Vec):
+    """Frame of canonical_basis_reference at lam (see hsw.worklist)."""
+    om, word = reduced_word(min_rep(datum, lam))
+    return (yield from _strip(datum, lam, bs_char(datum, om, word)))
+
+
+def _strip(datum: RootDatum, lam: Vec, cur: SphElt):
+    """Subtract symmetrized multiples of lower elements from a bar-invariant
+    start with top term m_lam, highest bad term first; yields each lower
+    weight whose element it needs."""
+    top_len = min_rep(datum, lam).length
     while True:
         bad = [(min_rep(datum, mu).length, mu, f)
                for mu, f in cur._m.items()
@@ -285,10 +336,9 @@ def canonical_basis(datum: RootDatum, lam) -> SphElt:
         if blen >= top_len:
             raise RuntimeError(
                 f"triangularity failed at {mu} (length {blen} >= {top_len})")
-        cur = cur - canonical_basis(datum, mu).scale(f.sym_complete())
+        cur = cur - (yield mu).scale(f.sym_complete())
     if cur.coeff(lam) != ONE:
         raise RuntimeError(f"leading coefficient at {lam} is {cur.coeff(lam)}, not 1")
-    st.canonical[lam] = cur
     return cur
 
 

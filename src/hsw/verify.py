@@ -18,8 +18,8 @@ from .hecke import hecke_mul, hecke_T, verify_bernstein, verify_quadratic_all
 from .laurent import ONE, LaurentPoly, v_power
 from .qanalogue import freudenthal_mult, kato_grid, lusztig_q, weights_of_irrep
 from .rootdata import RootDatum
-from .spherical import (bs_char, canonical_basis, decompose_bs, fl_bs_char,
-                        sph_act, sph_bar, sph_project)
+from .spherical import (bs_char, canonical_basis, canonical_basis_reference,
+                        decompose_bs, fl_bs_char, sph_act, sph_bar, sph_project)
 
 
 def _twists(datum: RootDatum):
@@ -99,15 +99,19 @@ def weights_by_length(datum: RootDatum, max_len: int) -> list:
 def check_canonical(datum: RootDatum, max_len: int = 3) -> dict:
     """Shape of the bar-invariant basis on all weights up to a length bound.
 
-    For each weight: bar-invariance, unitriangularity with strictly lower
-    terms in negative powers only, nonnegative coefficients, and a
-    nonnegative expansion of the corresponding chain character.
+    For each weight: agreement with the full-chain reference algorithm,
+    bar-invariance, unitriangularity with strictly lower terms in negative
+    powers only, nonnegative coefficients, and a nonnegative expansion of
+    the corresponding chain character.
     """
     started = time.perf_counter()
     bad = []
     weights = weights_by_length(datum, max_len)
+    reference = canonical_basis_reference(datum, weights)
     for lam in weights:
         b = canonical_basis(datum, lam)
+        if b != reference[lam]:
+            bad.append(f"{lam}: differs from the full-chain reference")
         if sph_bar(b) != b:
             bad.append(f"{lam}: not bar invariant")
             continue

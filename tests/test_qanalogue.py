@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from hsw.laurent import ONE, ZERO, LaurentPoly
@@ -59,6 +61,16 @@ def test_freudenthal_against_dimension(a1, a2, b2):
         total = sum(freudenthal_mult(datum, eta, w)
                     for w in weights_of_irrep(datum, eta))
         assert total == weyl_dim(datum, eta)
+
+
+def test_deep_freudenthal_needs_no_recursion():
+    a1 = datum_preset("A1")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        assert freudenthal_mult(a1, (400,), (0,)) == 1
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_lusztig_at_one_is_multiplicity(a2, b2):

@@ -1,4 +1,6 @@
+import itertools
 import random
+import sys
 
 import pytest
 
@@ -6,9 +8,12 @@ from hsw.affine import (affine_identity, min_rep, omega_elements,
                         reduced_word, simple_reflections, translation)
 from hsw.hecke import hecke_T, hecke_mul
 from hsw.laurent import ONE, ZERO, LaurentPoly, v_power
-from hsw.spherical import (SphElt, bs_char, canonical_basis, decompose_bs,
-                           fl_bs_char, hom_rank, m_zero, sph_act, sph_bar,
-                           sph_pairing, sph_project)
+from hsw.rootdata import datum_preset
+from hsw.spherical import (SphElt, bs_char, canonical_basis,
+                           canonical_basis_reference, decompose_bs, fl_bs_char,
+                           hom_rank, m_zero, sph_act, sph_bar, sph_pairing,
+                           sph_project)
+from hsw.verify import weights_by_length
 
 
 def test_bs_char_goldens(a1):
@@ -63,6 +68,54 @@ def test_canonical_bar_invariant_and_triangular(a1, a2):
         for mu, c in b.items():
             if mu != lam:
                 assert c.in_v_inverse()
+
+
+def test_fast_path_matches_full_chain_reference():
+    grids = [("A1", [(k,) for k in range(-40, 41)])]
+    grids += [(name, weights_by_length(datum_preset(name), k))
+              for name, k in (("A2", 5), ("B2", 4), ("G2", 4), ("A1xA1", 3))]
+    grids.append(("GL3", list(itertools.product(range(-1, 2), repeat=3))))
+    for name, weights in grids:
+        datum = datum_preset(name)      # cold tables for the fast path
+        want = canonical_basis_reference(datum, weights)
+        assert list(want) == weights
+        for lam in weights:
+            assert canonical_basis(datum, lam) == want[lam], (name, lam)
+
+
+def test_reference_keeps_its_own_memo():
+    a1 = datum_preset("A1")
+    canonical_basis_reference(a1, [(5,), (-5,)])
+    assert a1._sph_state.canonical == {}
+
+
+def _a1_closed_form(a1, n):
+    """In type A1 every coefficient is a monomial: C(lam) is the sum of
+    v^(l(w_mu) - l(w_lam)) m_mu over mu = lam mod 2 with |mu| <= |lam|,
+    taking mu != -lam when lam < 0."""
+    top = min_rep(a1, (n,)).length
+    terms = {}
+    for mu in range(-abs(n), abs(n) + 1, 2):
+        if n < 0 and mu == -n:
+            continue
+        terms[(mu,)] = v_power(min_rep(a1, (mu,)).length - top)
+    return SphElt(a1, terms)
+
+
+def test_a1_closed_form(a1):
+    for n in range(-12, 13):
+        assert canonical_basis(a1, (n,)) == _a1_closed_form(a1, n)
+
+
+def test_deep_canonical_needs_no_recursion():
+    a1 = datum_preset("A1")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        b = canonical_basis(a1, (300,))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert b == _a1_closed_form(a1, 300)
 
 
 def test_decompose_golden_and_reassembly(a1, a2):

@@ -1,4 +1,6 @@
+from hsw.laurent import v_power
 from hsw.rootdata import datum_preset
+from hsw.spherical import SphElt
 from hsw.verify import (CHECKS, FAST_CHECKS, check_canonical, check_oracle,
                         run_suite, weights_by_length)
 
@@ -14,6 +16,21 @@ def test_report_shape(a1):
     assert r["pass"] is True
     assert r["checked"] > 0
     assert r["failures"] == []
+
+
+def test_canonical_check_compares_with_reference():
+    a2 = datum_preset("A2")
+    clean = check_canonical(a2, max_len=3)
+    assert clean["pass"] is True
+    # corrupt a lower coefficient at the first weight of the grid; no other
+    # element depends on the table entry once the grid is filled
+    lam = weights_by_length(a2, 3)[0]
+    table = a2._sph_state.canonical
+    table[lam] = table[lam] + SphElt.basis(a2, (0, 0)).scale(v_power(-9))
+    r = check_canonical(a2, max_len=3)
+    assert r["pass"] is False
+    assert r["failures"][0] == f"{lam}: differs from the full-chain reference"
+    assert (r["checked"], r["detail"]) == (clean["checked"], clean["detail"])
 
 
 def test_weights_by_length(a1, a2, b2, g2):
