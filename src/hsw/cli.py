@@ -24,7 +24,7 @@ from .hecke import HeckeElt, hecke_mul, hecke_T, hecke_theta
 from .laurent import LaurentPoly
 from .qanalogue import kato_check, kato_grid, lusztig_q
 from .rootdata import RootDatum, load_datum
-from .spherical import SphElt, bs_char, canonical_basis, decompose_bs, hom_rank, sph_pairing
+from .spherical import bs_char, canonical_basis, decompose_bs, hom_rank, sph_pairing
 from .verify import CHECKS, run_suite
 
 
@@ -97,16 +97,6 @@ def _hecke_text(h: HeckeElt) -> str:
     return " + ".join(f"({c})*T[{_elt_text(x)}]" for x, c in h.items())
 
 
-def _sph_text(m: SphElt) -> str:
-    if not m.support():
-        return "0"
-    bits = []
-    for lam, c in m.items():
-        label = f"m[{listed(lam)}]"
-        bits.append(label if str(c) == "1" else f"({c})*{label}")
-    return " + ".join(bits)
-
-
 def _emit(ns, payload: dict, text_lines: list[str]) -> None:
     if ns.output == "json":
         print(json.dumps(payload, indent=2))
@@ -157,7 +147,7 @@ def _cmd_theta(ns, datum: RootDatum) -> int:
 def _cmd_bs_char(ns, datum: RootDatum) -> int:
     omega = _omega_of(datum, ns.omega)
     m = bs_char(datum, omega, _word(datum, ns.word))
-    _emit(ns, {"terms": m.to_json()}, [_sph_text(m)])
+    _emit(ns, {"terms": m.to_json()}, [m.terms_text()])
     return 0
 
 
@@ -183,7 +173,7 @@ def _cmd_hom_rank(ns, datum: RootDatum) -> int:
 
 def _cmd_canonical(ns, datum: RootDatum) -> int:
     b = canonical_basis(datum, _weight(datum, ns.lam))
-    _emit(ns, {"terms": b.to_json()}, [_sph_text(b)])
+    _emit(ns, {"terms": b.to_json()}, [b.terms_text()])
     return 0
 
 

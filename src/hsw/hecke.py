@@ -1,14 +1,16 @@
 """The affine Hecke algebra in its standard basis.
 
 Elements are finite sums of basis symbols T_x over extended affine Weyl
-group elements x, with Laurent coefficients.  Right multiplication by a
-generator follows
+group elements x, with Laurent coefficients; ``HeckeElt`` adds the basis
+order, the labels and the product to the sparse-combination core of
+``hsw.laurent``, and every sum here accumulates through its ``add_into``.
+Right multiplication by a generator follows
 
     T_y T_s = T_{ys}                      when l(ys) > l(y)
     T_y T_s = T_{ys} + (v - v^-1) T_y     when l(ys) < l(y)
 
-and T_y T_om = T_{y om} for length-zero om.  Its inverse is applied in the
-same single pass:
+and T_y T_om = T_{y om} for length-zero om.  Its inverse is the same pass
+with the sign of the extra term flipped (``_rmul_simple`` takes the sign):
 
     T_y T_s^-1 = T_{ys}                   when l(ys) < l(y)
     T_y T_s^-1 = T_{ys} - (v - v^-1) T_y  when l(ys) > l(y)
@@ -30,10 +32,8 @@ import itertools
 
 from .affine import (AffineElt, SimpleReflection, affine_identity, from_weyl,
                      mul_simple, reduced_word, simple_reflections, translation)
-from .laurent import ONE, ZERO, LaurentPoly, v_power
+from .laurent import ONE, XI, Combination, LaurentPoly, add_into, v_power
 from .rootdata import RootDatum, pair, vec_add, vec_scale, vec_sub
-
-_XI = LaurentPoly({1: 1, -1: -1})  # v - v^-1
 
 
 class _HeckeState:
@@ -52,20 +52,10 @@ def _hstate(datum: RootDatum) -> _HeckeState:
     return st
 
 
-class HeckeElt:
+class HeckeElt(Combination):
     """A finite Laurent-combination of standard basis symbols T_x."""
 
-    __slots__ = ("datum", "_m")
-
-    def __init__(self, datum: RootDatum, terms: dict[AffineElt, LaurentPoly]):
-        self.datum = datum
-        self._m = terms
-
-    # -- constructors ------------------------------------------------------------
-
-    @staticmethod
-    def zero(datum: RootDatum) -> "HeckeElt":
-        return HeckeElt(datum, {})
+    __slots__ = ()
 
     @staticmethod
     def one(datum: RootDatum) -> "HeckeElt":
@@ -75,77 +65,18 @@ class HeckeElt:
     def basis(x: AffineElt) -> "HeckeElt":
         return HeckeElt(x.datum, {x: ONE})
 
-    # -- inspection --------------------------------------------------------------
+    def _order(self, x: AffineElt):
+        """Terms sort by (length, translation part, matrix) for determinism."""
+        return (x.length, x.lam, x.w.matrix)
 
-    def coeff(self, x: AffineElt) -> LaurentPoly:
-        return self._m.get(x, ZERO)
-
-    def support(self) -> list[AffineElt]:
-        return [x for x, _ in self.items()]
-
-    def items(self) -> list[tuple[AffineElt, LaurentPoly]]:
-        """Terms sorted by (length, translation part, matrix) for determinism."""
-        return sorted(self._m.items(), key=lambda kv: (kv[0].length, kv[0].lam, kv[0].w.matrix))
-
-    def is_zero(self) -> bool:
-        return not self._m
-
-    def __bool__(self) -> bool:
-        return bool(self._m)
-
-    # -- linear structure ----------------------------------------------------------
-
-    def __add__(self, other: "HeckeElt") -> "HeckeElt":
-        m = dict(self._m)
-        for x, c in other._m.items():
-            s = m.get(x)
-            s = c if s is None else s + c
-            if s:
-                m[x] = s
-            elif x in m:
-                del m[x]
-        return HeckeElt(self.datum, m)
-
-    def __neg__(self) -> "HeckeElt":
-        return HeckeElt(self.datum, {x: -c for x, c in self._m.items()})
-
-    def __sub__(self, other: "HeckeElt") -> "HeckeElt":
-        return self + (-other)
-
-    def scale(self, c) -> "HeckeElt":
-        c = LaurentPoly.coerce(c)
-        if not c:
-            return HeckeElt.zero(self.datum)
-        return HeckeElt(self.datum, {x: a * c for x, a in self._m.items()})
+    def _label(self, x: AffineElt) -> str:
+        wpart = ".".join(f"s{i + 1}" for i in x.w.reduced_word()) or "e"
+        return f"T[{wpart} * t{x.lam}]" if any(x.lam) else f"T[{wpart}]"
 
     def __mul__(self, other):
         if isinstance(other, HeckeElt):
             return hecke_mul(self, other)
         return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, HeckeElt):
-            return self._m == other._m
-        return NotImplemented
-
-    def __hash__(self):
-        raise TypeError("HeckeElt is mutable-adjacent; not hashable")
-
-    # -- rendering ----------------------------------------------------------------
-
-    def __repr__(self) -> str:
-        if not self._m:
-            return "HeckeElt(0)"
-        bits = []
-        for x, c in self.items():
-            wpart = ".".join(f"s{i + 1}" for i in x.w.reduced_word()) or "e"
-            label = f"T[{wpart} * t{x.lam}]" if any(x.lam) else f"T[{wpart}]"
-            coeffs = str(c)
-            bits.append(label if coeffs == "1" else f"({coeffs})*{label}")
-        return "HeckeElt(" + " + ".join(bits) + ")"
 
     def to_json(self) -> list[dict]:
         return [{"element": x.to_json(), "coeff": c.to_json()} for x, c in self.items()]
@@ -153,50 +84,27 @@ class HeckeElt:
 
 # -- core multiplication ------------------------------------------------------------
 
+_SIGNED_XI = {1: XI, -1: -XI}
 
-def _rmul_simple(datum: RootDatum, m: dict, s: SimpleReflection) -> dict:
+
+def _rmul_simple(m: dict, s: SimpleReflection, sign: int = 1) -> dict:
+    """m * T_s for sign 1 and m * T_s^-1 for sign -1, in one pass: the extra
+    term +-(v - v^-1) T_y appears when ys is shorter (T_s) or longer (T_s^-1)."""
+    xi = _SIGNED_XI[sign]
+
+    def terms():
+        for y, c in m.items():
+            ys = mul_simple(y, s)
+            yield ys, c
+            if ys.length - y.length == -sign:
+                yield y, c * xi
+
     out: dict[AffineElt, LaurentPoly] = {}
-    for y, c in m.items():
-        ys = mul_simple(y, s)
-        a = out.get(ys)
-        a = c if a is None else a + c
-        if a:
-            out[ys] = a
-        elif ys in out:
-            del out[ys]
-        if ys.length < y.length:
-            d = c * _XI
-            a = out.get(y)
-            a = d if a is None else a + d
-            if a:
-                out[y] = a
-            elif y in out:
-                del out[y]
+    add_into(out, terms())
     return out
 
 
-def _rmul_simple_inv(datum: RootDatum, m: dict, s: SimpleReflection) -> dict:
-    out: dict[AffineElt, LaurentPoly] = {}
-    for y, c in m.items():
-        ys = mul_simple(y, s)
-        a = out.get(ys)
-        a = c if a is None else a + c
-        if a:
-            out[ys] = a
-        elif ys in out:
-            del out[ys]
-        if ys.length > y.length:
-            d = c * _XI
-            a = out.get(y)
-            a = -d if a is None else a - d
-            if a:
-                out[y] = a
-            elif y in out:
-                del out[y]
-    return out
-
-
-def _rmul_omega(datum: RootDatum, m: dict, om: AffineElt) -> dict:
+def _rmul_omega(m: dict, om: AffineElt) -> dict:
     if om.is_identity():
         return m
     return {y * om: c for y, c in m.items()}
@@ -206,22 +114,14 @@ def hecke_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
     """Product in the standard basis, factoring b through reduced words."""
     if a.datum is not b.datum:
         raise ValueError("operands live over different data")
-    datum = a.datum
     acc: dict[AffineElt, LaurentPoly] = {}
     for x, c in b._m.items():
         om, word = reduced_word(x)
-        cur = _rmul_omega(datum, a._m, om)
+        cur = _rmul_omega(a._m, om)
         for s in word:
-            cur = _rmul_simple(datum, cur, s)
-        for y, d in cur.items():
-            t = d * c
-            s0 = acc.get(y)
-            s0 = t if s0 is None else s0 + t
-            if s0:
-                acc[y] = s0
-            elif y in acc:
-                del acc[y]
-    return HeckeElt(datum, acc)
+            cur = _rmul_simple(cur, s)
+        add_into(acc, cur.items(), c)
+    return HeckeElt(a.datum, acc)
 
 
 def hecke_mul_factors(a: HeckeElt, factors) -> HeckeElt:
@@ -238,13 +138,13 @@ def hecke_mul_factors(a: HeckeElt, factors) -> HeckeElt:
             raise ValueError("operands live over different data")
         om, word = reduced_word(x)
         if sign == 1:
-            cur = _rmul_omega(datum, cur, om)
+            cur = _rmul_omega(cur, om)
             for s in word:
-                cur = _rmul_simple(datum, cur, s)
+                cur = _rmul_simple(cur, s)
         elif sign == -1:
             for s in reversed(word):
-                cur = _rmul_simple_inv(datum, cur, s)
-            cur = _rmul_omega(datum, cur, om.inverse())
+                cur = _rmul_simple(cur, s, -1)
+            cur = _rmul_omega(cur, om.inverse())
         else:
             raise ValueError(f"factor sign must be 1 or -1, not {sign!r}")
     return HeckeElt(datum, cur)
@@ -277,10 +177,10 @@ def hecke_bar_T(x: AffineElt) -> HeckeElt:
 
 def hecke_bar(a: HeckeElt) -> HeckeElt:
     """The bar involution: v -> v^-1 on coefficients, T_x -> (T_{x^-1})^-1."""
-    acc = HeckeElt.zero(a.datum)
+    acc: dict[AffineElt, LaurentPoly] = {}
     for x, c in a._m.items():
-        acc = acc + hecke_bar_T(x).scale(c.bar())
-    return acc
+        add_into(acc, hecke_bar_T(x)._m.items(), c.bar())
+    return HeckeElt(a.datum, acc)
 
 
 # -- the commutative family -----------------------------------------------------------

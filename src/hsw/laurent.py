@@ -1,10 +1,16 @@
-"""Exact Laurent polynomials in one variable over the integers.
+"""Exact Laurent polynomials in one variable over the integers, and the
+free modules over them that the package computes in.
 
 The single variable is called ``v`` throughout; the q-analogue module reuses
 the same type with the dictionary q = v^(-2) handled by
 :meth:`LaurentPoly.substitute_power`.
 Values are immutable and kept in canonical form (no zero coefficients), so
 equality of values is equality of the underlying sparse maps.
+
+``Combination`` is the sparse-combination core of the Hecke algebra's
+standard basis and of the spherical module: a map from basis keys to nonzero
+Laurent coefficients with its linear structure.  Every sum of terms goes
+through ``add_into``, which drops a key whose coefficient cancels.
 """
 
 from __future__ import annotations
@@ -254,7 +260,105 @@ ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 V = LaurentPoly({1: 1})
 V_INV = LaurentPoly({-1: 1})
+XI = LaurentPoly({1: 1, -1: -1})  # v - v^-1
 
 
 def v_power(k: int) -> LaurentPoly:
     return LaurentPoly({k: 1})
+
+
+# -- sparse combinations ------------------------------------------------------------
+
+
+def add_into(acc: dict, terms, c: LaurentPoly | None = None) -> None:
+    """Add c times the (key, coefficient) pairs of terms into the map acc, in
+    place (c = 1 when omitted).  A key whose coefficient cancels is dropped.
+
+    >>> acc = {"a": V}
+    >>> add_into(acc, [("a", -ONE), ("b", V)], V)
+    >>> acc
+    {'b': LaurentPoly({2: 1})}
+    """
+    for k, a in terms:
+        if c is not None:
+            a = a * c
+        s = acc.get(k)
+        if s is not None:
+            a = s + a
+        if a:
+            acc[k] = a
+        elif s is not None:
+            del acc[k]
+
+
+class Combination:
+    """A finite combination of basis keys over a datum, with nonzero Laurent
+    coefficients.  Subclasses order the keys (``_order``), label them
+    (``_label``) and define the products; this class is the linear structure.
+    """
+
+    __slots__ = ("datum", "_m")
+
+    def __init__(self, datum, terms: dict):
+        self.datum = datum
+        self._m = terms
+
+    @classmethod
+    def zero(cls, datum):
+        return cls(datum, {})
+
+    def coeff(self, key) -> LaurentPoly:
+        return self._m.get(key, ZERO)
+
+    def items(self) -> list[tuple]:
+        """Terms sorted by the basis order of the subclass."""
+        return sorted(self._m.items(), key=lambda kv: self._order(kv[0]))
+
+    def support(self) -> list:
+        return [k for k, _ in self.items()]
+
+    def is_zero(self) -> bool:
+        return not self._m
+
+    def __bool__(self) -> bool:
+        return bool(self._m)
+
+    def __add__(self, other):
+        m = dict(self._m)
+        add_into(m, other._m.items())
+        return type(self)(self.datum, m)
+
+    def __neg__(self):
+        return type(self)(self.datum, {k: -c for k, c in self._m.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = LaurentPoly.coerce(c)
+        if not c:
+            return self.zero(self.datum)
+        return type(self)(self.datum, {k: a * c for k, a in self._m.items()})
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, type(self)):
+            return self._m == other._m
+        return NotImplemented
+
+    __hash__ = None  # not hashable: the terms are a plain dict
+
+    def terms_text(self) -> str:
+        """The terms in order, as ``label`` or ``(coeff)*label``; ``0`` if none."""
+        if not self._m:
+            return "0"
+        bits = []
+        for k, c in self.items():
+            label, coeffs = self._label(k), str(c)
+            bits.append(label if coeffs == "1" else f"({coeffs})*{label}")
+        return " + ".join(bits)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.terms_text()})"

@@ -7,7 +7,7 @@ Three layers:
 * the alternating Weyl sum producing the graded multiplicity polynomial of
   a dominant weight inside an irreducible highest-weight module,
 * an independent Freudenthal recursion for the same multiplicity at q = 1,
-  using the symmetrized invariant form, exact over the rationals.
+  using the symmetrized invariant form, in integer arithmetic.
 
 The polynomials here live in the variable q; the comparison against module
 coefficients substitutes q = v^-2.
@@ -19,7 +19,6 @@ that every intermediate stays in the integer lattice.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import linalg
 from .affine import length_box, min_rep
@@ -166,18 +165,20 @@ def _symmetrizer(datum: RootDatum) -> tuple[int, ...]:
         return st.symmetrizer
     a = datum.cartan_matrix()
     n = datum.nsimples
-    d: list[Fraction | None] = [None] * n
+    d: list[tuple[int, int] | None] = [None] * n   # d_i as (numerator, denominator)
     for comp in datum.components():
-        d[comp[0]] = Fraction(1)
+        d[comp[0]] = (1, 1)
         queue = [comp[0]]
         while queue:
             i = queue.pop()
             for j in comp:
                 if d[j] is None and a[i][j]:
-                    d[j] = d[i] * Fraction(a[i][j], a[j][i])
+                    p, q = d[i][0] * a[i][j], d[i][1] * a[j][i]
+                    g = math.gcd(p, q) * (-1 if q < 0 else 1)
+                    d[j] = (p // g, q // g)
                     queue.append(j)
-    denom_lcm = math.lcm(*(x.denominator for x in d))
-    ints = [int(x * denom_lcm) for x in d]
+    denom_lcm = math.lcm(*(q for _, q in d))
+    ints = [p * denom_lcm // q for p, q in d]
     g = math.gcd(*ints)
     ints = [x // g for x in ints]
     for i in range(n):
@@ -188,14 +189,11 @@ def _symmetrizer(datum: RootDatum) -> tuple[int, ...]:
     return st.symmetrizer
 
 
-def _form(datum: RootDatum, x_coords, y) -> Fraction:
+def _form(datum: RootDatum, x_coords, y) -> int:
     """Invariant form B(x, y) with x given in root coordinates."""
     d = _symmetrizer(datum)
-    total = Fraction(0)
-    for j, c in enumerate(x_coords):
-        if c:
-            total += Fraction(c) * d[j] * pair(y, datum.simple_coroots[j])
-    return total
+    return sum(c * d[j] * pair(y, datum.simple_coroots[j])
+               for j, c in enumerate(x_coords) if c)
 
 
 def freudenthal_mult(datum: RootDatum, eta, chi) -> int:
@@ -223,7 +221,7 @@ def freudenthal_mult(datum: RootDatum, eta, chi) -> int:
         denom = _form(datum, vec_scale(2, gap), vec_add(vec_add(eta2, chip2), vec_scale(2, two_rho)))
         if denom == 0:
             return 0
-        total = Fraction(0)
+        total = 0
         for r in datum.positive_roots():
             k = 1
             while True:
@@ -237,10 +235,10 @@ def freudenthal_mult(datum: RootDatum, eta, chi) -> int:
                     total += m * _form(datum, vec_scale(2, r.root_coords),
                                        vec_scale(2, mu))
                 k += 1
-        val = 2 * total / denom
-        if val.denominator != 1:
+        val, rem = divmod(2 * total, denom)
+        if rem:
             raise RuntimeError("Freudenthal recursion produced a non-integer")
-        return int(val)
+        return val
 
     return fill(memo, datum.dominant_rep(chi), mult)
 

@@ -1,10 +1,13 @@
 """The spherical right module over the affine Hecke algebra.
 
-The module has a basis m_lam indexed by weights.  The projection sends a
-standard basis symbol T_x with x = u * m (u finite, m the shortest element
-of its translation coset) to v^{l(u)} m_lam.  Characters of Bott-Samelson
-type are built by acting with C_s = T_s + v^-1 on the basepoint m_0, an
-optional length-zero twist in front.
+The module has a basis m_lam indexed by weights, one for each Iwahori orbit
+on the affine Grassmannian; ``SphElt`` is the sparse-combination core of
+``hsw.laurent`` over that basis, and every sum here accumulates through its
+``add_into``.  The projection sends a standard basis symbol T_x with
+x = u * m (u finite, m the shortest element of its translation coset) to
+v^{l(u)} m_lam.  Characters of Bott-Samelson type are built by acting with
+C_s = T_s + v^-1 on the basepoint m_0, an optional length-zero twist in
+front.
 
 The canonical basis is computed by Soergel's recursion (Represent. Theory 1
 (1997), sections 3-4).  If the reduced word of w_lam is (omega, s_1 ... s_k),
@@ -23,12 +26,11 @@ from functools import partial
 
 from .affine import AffineElt, SimpleReflection, min_rep, mul_simple, reduced_word
 from .hecke import HeckeElt, hecke_T, hecke_bar_T, hecke_mul
-from .laurent import ONE, ZERO, LaurentPoly, v_power
+from .laurent import ONE, XI, ZERO, Combination, LaurentPoly, add_into, v_power
 from .rootdata import RootDatum, Vec
 from .worklist import fill
 
 _VINV = v_power(-1)
-_XI = LaurentPoly({1: 1, -1: -1})
 
 
 class _SphState:
@@ -61,18 +63,10 @@ def _coset(x: AffineElt) -> tuple[int, Vec]:
     return st.coset[x]
 
 
-class SphElt:
+class SphElt(Combination):
     """A finite Laurent-combination of basis symbols m_lam."""
 
-    __slots__ = ("datum", "_m")
-
-    def __init__(self, datum: RootDatum, terms: dict[Vec, LaurentPoly]):
-        self.datum = datum
-        self._m = terms
-
-    @staticmethod
-    def zero(datum: RootDatum) -> "SphElt":
-        return SphElt(datum, {})
+    __slots__ = ()
 
     @staticmethod
     def basis(datum: RootDatum, lam) -> "SphElt":
@@ -81,69 +75,17 @@ class SphElt:
     def coeff(self, lam) -> LaurentPoly:
         return self._m.get(tuple(lam), ZERO)
 
-    def support(self) -> list[Vec]:
-        return [lam for lam, _ in self.items()]
+    def _order(self, lam: Vec):
+        """Terms sort by descending (l(w_lam), lam): leading term first."""
+        return (-min_rep(self.datum, lam).length, tuple(-x for x in lam))
 
-    def items(self) -> list[tuple[Vec, LaurentPoly]]:
-        """Terms sorted by descending (l(w_lam), lam): leading term first."""
-        return sorted(self._m.items(),
-                      key=lambda kv: (-min_rep(self.datum, kv[0]).length,
-                                      tuple(-x for x in kv[0])))
-
-    def is_zero(self) -> bool:
-        return not self._m
-
-    def __bool__(self) -> bool:
-        return bool(self._m)
-
-    def __add__(self, other: "SphElt") -> "SphElt":
-        m = dict(self._m)
-        for k, c in other._m.items():
-            s = m.get(k)
-            s = c if s is None else s + c
-            if s:
-                m[k] = s
-            elif k in m:
-                del m[k]
-        return SphElt(self.datum, m)
-
-    def __neg__(self) -> "SphElt":
-        return SphElt(self.datum, {k: -c for k, c in self._m.items()})
-
-    def __sub__(self, other: "SphElt") -> "SphElt":
-        return self + (-other)
-
-    def scale(self, c) -> "SphElt":
-        c = LaurentPoly.coerce(c)
-        if not c:
-            return SphElt.zero(self.datum)
-        return SphElt(self.datum, {k: a * c for k, a in self._m.items()})
+    def _label(self, lam: Vec) -> str:
+        return "m[" + ",".join(str(x) for x in lam) + "]"
 
     def __mul__(self, other):
         if isinstance(other, HeckeElt):
             return sph_act(self, other)
         return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SphElt):
-            return self._m == other._m
-        return NotImplemented
-
-    def __hash__(self):
-        raise TypeError("SphElt is not hashable")
-
-    def __repr__(self) -> str:
-        if not self._m:
-            return "SphElt(0)"
-        bits = []
-        for lam, c in self.items():
-            coeffs = str(c)
-            label = "m[" + ",".join(str(x) for x in lam) + "]"
-            bits.append(label if coeffs == "1" else f"({coeffs})*{label}")
-        return "SphElt(" + " + ".join(bits) + ")"
 
     def to_json(self) -> list[dict]:
         return [{"weight": list(lam), "coeff": c.to_json()} for lam, c in self.items()]
@@ -158,24 +100,18 @@ def sph_project(h: HeckeElt) -> SphElt:
     acc: dict[Vec, LaurentPoly] = {}
     for x, c in h._m.items():
         ulen, lam = _coset(x)
-        t = c * v_power(ulen) if ulen else c
-        s = acc.get(lam)
-        s = t if s is None else s + t
-        if s:
-            acc[lam] = s
-        elif lam in acc:
-            del acc[lam]
+        add_into(acc, ((lam, c),), v_power(ulen) if ulen else None)
     return SphElt(h.datum, acc)
 
 
 def sph_act(m: SphElt, h: HeckeElt) -> SphElt:
     """Right action: m_lam * h = projection of T_{w_lam} h."""
     datum = m.datum
-    acc = SphElt.zero(datum)
+    acc: dict[Vec, LaurentPoly] = {}
     for lam, c in m._m.items():
         prod = hecke_mul(hecke_T(min_rep(datum, lam)), h)
-        acc = acc + sph_project(prod).scale(c)
-    return acc
+        add_into(acc, sph_project(prod)._m.items(), c)
+    return SphElt(datum, acc)
 
 
 def _act_cs(m: SphElt, s: SimpleReflection) -> SphElt:
@@ -183,15 +119,6 @@ def _act_cs(m: SphElt, s: SimpleReflection) -> SphElt:
     datum = m.datum
     st = _sstate(datum)
     acc: dict[Vec, LaurentPoly] = {}
-
-    def bump(key: Vec, val: LaurentPoly) -> None:
-        cur = acc.get(key)
-        cur = val if cur is None else cur + val
-        if cur:
-            acc[key] = cur
-        elif key in acc:
-            del acc[key]
-
     for lam, c in m._m.items():
         key = (lam, s.label)
         cached = st.act_simple.get(key)
@@ -201,15 +128,9 @@ def _act_cs(m: SphElt, s: SimpleReflection) -> SphElt:
             ulen, mu = _coset(ws)
             cached = {mu: v_power(ulen)}
             if ws.length < w.length:
-                cur = cached.get(lam, ZERO) + _XI
-                if cur:
-                    cached[lam] = cur
-                elif lam in cached:
-                    del cached[lam]
+                add_into(cached, ((lam, XI),))
             st.act_simple[key] = cached
-        for mu, d in cached.items():
-            bump(mu, c * d)
-        bump(lam, c * _VINV)
+        add_into(acc, (*cached.items(), (lam, _VINV)), c)
     return SphElt(datum, acc)
 
 
@@ -262,10 +183,10 @@ def _bar_basis(datum: RootDatum, lam: Vec) -> SphElt:
 
 def sph_bar(m: SphElt) -> SphElt:
     """The bar involution of the module, semilinear over the algebra bar."""
-    acc = SphElt.zero(m.datum)
+    acc: dict[Vec, LaurentPoly] = {}
     for lam, c in m._m.items():
-        acc = acc + _bar_basis(m.datum, lam).scale(c.bar())
-    return acc
+        add_into(acc, _bar_basis(m.datum, lam)._m.items(), c.bar())
+    return SphElt(m.datum, acc)
 
 
 def canonical_basis(datum: RootDatum, lam) -> SphElt:

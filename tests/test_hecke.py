@@ -5,7 +5,7 @@ import pytest
 
 from hsw.affine import (affine_identity, min_rep, omega_elements,
                         reduced_word, simple_reflections, translation)
-from hsw.hecke import (HeckeElt, _dominant_split, hecke_bar, hecke_inv_T,
+from hsw.hecke import (HeckeElt, _dominant_split, hecke_bar, hecke_bar_T, hecke_inv_T,
                        hecke_mul, hecke_mul_factors, hecke_T, hecke_theta,
                        verify_bernstein, verify_quadratic_affine,
                        verify_quadratic_all)
@@ -119,6 +119,19 @@ def test_bar_involution(a1, a2):
             b = hecke_T(rand_elt(datum, rng))
             assert hecke_bar(hecke_bar(a)) == a
             assert hecke_bar(hecke_mul(a, b)) == hecke_mul(hecke_bar(a), hecke_bar(b))
+
+
+def test_bar_of_sum_is_sum_of_term_bars(a1, a2):
+    rng = random.Random(12)
+    for datum in (a1, a2):
+        a = hecke_theta(datum, (-1,) * datum.rank)
+        for _ in range(4):
+            a = a + hecke_T(rand_elt(datum, rng)).scale(LaurentPoly({2: 1, -1: -3}))
+        assert len(a.support()) > 2
+        want = HeckeElt.zero(datum)
+        for x, c in a.items():
+            want = want + hecke_bar_T(x).scale(c.bar())
+        assert hecke_bar(a) == want
 
 
 def test_bar_golden(a1):

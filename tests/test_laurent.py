@@ -3,7 +3,11 @@ import random
 
 import pytest
 
-from hsw.laurent import ONE, V, V_INV, ZERO, LaurentPoly, v_power
+from hsw.affine import simple_reflections
+from hsw.hecke import HeckeElt, hecke_T, hecke_theta
+from hsw.laurent import ONE, V, V_INV, ZERO, LaurentPoly, add_into, v_power
+from hsw.rootdata import datum_preset
+from hsw.spherical import SphElt, canonical_basis
 
 
 def rand_poly(rng, max_terms=5, span=6, bound=9):
@@ -109,3 +113,48 @@ def test_eq_int():
     assert LaurentPoly({0: 5}) == 5
     assert LaurentPoly({1: 1}) != 1
     assert ZERO == 0
+
+
+# -- the sparse-combination core, shared by HeckeElt and SphElt ---------------------------
+
+
+def hecke_sample() -> HeckeElt:
+    a2 = datum_preset("A2")
+    s = simple_reflections(a2)[0]
+    return hecke_theta(a2, (-1, 1)) + hecke_T(s.elt).scale(V)
+
+
+def sph_sample() -> SphElt:
+    a1 = datum_preset("A1")
+    return canonical_basis(a1, (3,)) + SphElt.basis(a1, (0,)).scale(V)
+
+
+COMBINATIONS = pytest.mark.parametrize("make", [hecke_sample, sph_sample],
+                                       ids=["HeckeElt", "SphElt"])
+
+
+@COMBINATIONS
+def test_combination_cancels_to_empty_support(make):
+    x = make()
+    assert len(x.support()) > 1
+    for zero in (x + (-x), x - x, x.scale(0), x.scale(ZERO)):
+        assert type(zero) is type(x)
+        assert zero.is_zero() and not zero
+        assert zero.support() == []
+        assert zero == type(x).zero(x.datum)
+        assert repr(zero) == f"{type(x).__name__}(0)"
+
+
+@COMBINATIONS
+def test_combination_sum_drops_cancelled_key(make):
+    x = make()
+    key, c = x.items()[0]
+    y = type(x)(x.datum, {key: -c})
+    total = x + y
+    assert key not in total.support()
+    assert total.coeff(key) == ZERO
+    assert total.support() == x.support()[1:]
+    assert total - y == x
+    acc = dict(x._m)
+    add_into(acc, x._m.items(), -ONE)
+    assert acc == {}

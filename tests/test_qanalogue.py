@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from hsw.laurent import ONE, ZERO, LaurentPoly
-from hsw.qanalogue import (dominant_weights_by_length, freudenthal_mult,
+from hsw.qanalogue import (_symmetrizer, dominant_weights_by_length, freudenthal_mult,
                            kato_check, kato_grid, kostant_q, lusztig_q,
                            root_coords_int, weights_of_irrep, weyl_dim)
 from hsw.rootdata import datum_preset
@@ -55,12 +55,18 @@ def test_weyl_dims(a1, a2, b2, g2):
     assert weyl_dim(g2, (0, 1)) == 7
 
 
-def test_freudenthal_against_dimension(a1, a2, b2):
+def test_freudenthal_against_dimension(a1, a2, b2, g2):
     assert freudenthal_mult(a2, (1, 1), (0, 0)) == 2
-    for datum, eta in ((a1, (3,)), (a2, (1, 1)), (a2, (2, 1)), (b2, (1, 1))):
-        total = sum(freudenthal_mult(datum, eta, w)
-                    for w in weights_of_irrep(datum, eta))
-        assert total == weyl_dim(datum, eta)
+    for datum, eta in ((a1, (3,)), (a2, (1, 1)), (a2, (2, 1)), (b2, (1, 1)), (g2, (1, 1))):
+        values = [freudenthal_mult(datum, eta, w) for w in weights_of_irrep(datum, eta)]
+        assert all(type(m) is int for m in values)
+        assert sum(values) == weyl_dim(datum, eta)
+
+
+@pytest.mark.parametrize("name, want", [("A1", (1,)), ("A2", (1, 1)), ("B2", (2, 1)),
+                                        ("G2", (3, 1)), ("A1xA1", (1, 1)), ("GL3", (1, 1))])
+def test_symmetrizer_goldens(name, want):
+    assert _symmetrizer(datum_preset(name)) == want
 
 
 def test_deep_freudenthal_needs_no_recursion():

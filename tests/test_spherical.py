@@ -206,6 +206,17 @@ def test_elt_laws(a1):
         hash(x)
 
 
+def test_bar_of_sum_is_sum_of_term_bars(a1, a2):
+    for datum, lam in ((a1, (4,)), (a2, (1, -2))):
+        m = bs_char(datum, *reduced_word(min_rep(datum, lam))).scale(LaurentPoly({1: 2}))
+        assert len(m.support()) > 2
+        want = SphElt.zero(datum)
+        for mu, c in m.items():
+            want = want + sph_bar(SphElt.basis(datum, mu)).scale(c.bar())
+        assert sph_bar(m) == want
+        assert sph_bar(sph_bar(m)) == m
+
+
 def test_repr_and_json(a1):
     b = canonical_basis(a1, (1,))
     assert repr(b) == "SphElt(m[1] + (v^-1)*m[-1])"
