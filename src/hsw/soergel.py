@@ -12,15 +12,18 @@ coordinate sits in graded degree 2), equipped with
 Atoms are attached to length-zero elements (rank one twists), to finite
 wall crossings (rank two over the invariants of one reflection), and, in
 rank one, to the affine wall crossing.  Chains are built by tensoring atoms
-left to right.  Graded Hom spaces between chains are computed degree by
-degree by fraction-free integer elimination, and converted to a rank
-polynomial over the coordinate ring; coefficients beyond the reliable
-window raise instead of truncating silently.
+left to right.  Each atom and each chain is built, and validated, once per
+datum: a chain is the tensor of the longest prefix chain already held with
+one atom per remaining letter.  Graded Hom spaces between chains are
+computed degree by degree by fraction-free integer elimination, and
+converted to a rank polynomial over the coordinate ring; coefficients
+beyond the reliable window raise instead of truncating silently.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 from . import linalg
 from .affine import AffineElt, SimpleReflection
@@ -31,6 +34,27 @@ from .rootdata import RootDatum
 
 class CutoffError(ValueError):
     """The requested computation needs a larger degree cutoff to be exact."""
+
+
+# -- per-datum state --------------------------------------------------------------------
+
+
+class _ModState:
+    """Per-datum tables of the module side; each entry is built once."""
+
+    def __init__(self):
+        self.invariants: tuple[MPoly, ...] | None = None
+        self.atoms: dict[str, "GradedCModule"] = {}            # letter label -> wall atom
+        self.twists: dict[AffineElt, "GradedCModule"] = {}     # x -> atom_E(x)
+        self.chains: dict[tuple, "GradedCModule"] = {}         # (omega, labels) -> chain
+
+
+def _mstate(datum: RootDatum) -> _ModState:
+    st = getattr(datum, "_mod_state", None)
+    if st is None:
+        st = _ModState()
+        datum._mod_state = st
+    return st
 
 
 # -- fundamental invariants ------------------------------------------------------------
@@ -54,9 +78,9 @@ def fundamental_invariants(datum: RootDatum) -> tuple[MPoly, ...]:
     the rank and the degree product equals the Weyl group order; both are
     asserted.
     """
-    cached = getattr(datum, "_invariants", None)
-    if cached is not None:
-        return cached
+    st = _mstate(datum)
+    if st.invariants is not None:
+        return st.invariants
     n = datum.rank
     subs = _dual_substitutions(datum)
     found: list[MPoly] = []
@@ -113,7 +137,7 @@ def fundamental_invariants(datum: RootDatum) -> tuple[MPoly, ...]:
             if p.substitute_linear(sub) != p:
                 raise RuntimeError("claimed invariant is not invariant")
     out = tuple(sorted(found, key=lambda p: (p.total_degree(), str(p))))
-    datum._invariants = out
+    st.invariants = out
     return out
 
 
@@ -148,40 +172,41 @@ def _pm(rows) -> PolyMatrix:
     return tuple(tuple(row) for row in rows)
 
 
-def _pm_zero(n: int, m: int, nvars: int) -> PolyMatrix:
-    z = MPoly.zero(nvars)
-    return tuple(tuple(z for _ in range(m)) for _ in range(n))
+def _pm_scalar(n: int, p: MPoly) -> PolyMatrix:
+    """p times the n x n identity."""
+    z = MPoly.zero(p.nvars)
+    return tuple(tuple(p if i == j else z for j in range(n)) for i in range(n))
 
 
-def _pm_identity(n: int, nvars: int) -> PolyMatrix:
-    one = MPoly.const(nvars, 1)
-    z = MPoly.zero(nvars)
-    return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
+def _mpoly_of(nvars: int, c: dict) -> MPoly:
+    """Wrap an accumulated coefficient dict, dropping cancelled monomials."""
+    out = MPoly.__new__(MPoly)
+    out.nvars, out._c, out._hash = nvars, {e: a for e, a in c.items() if a}, None
+    return out
 
 
 def _pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    bt = tuple(zip(*b))
+    """Matrix product, row by row over the nonzero entries of both factors;
+    each output entry is accumulated in one dict and wrapped once."""
+    add = operator.add
+    width = len(b[0])
+    b_rows = [[(j, y._c) for j, y in enumerate(row) if y._c] for row in b]
     out = []
     for row in a:
-        orow = []
-        for col in bt:
-            acc = None
-            for x, y in zip(row, col):
-                if x.is_zero() or y.is_zero():
-                    continue
-                t = x * y
-                acc = t if acc is None else acc + t
-            orow.append(acc if acc is not None else MPoly.zero(row[0].nvars))
-        out.append(tuple(orow))
+        accs: list[dict[tuple, int]] = [{} for _ in range(width)]
+        for x, b_row in zip(row, b_rows):
+            xc = x._c
+            if not xc:
+                continue
+            for j, yc in b_row:
+                acc = accs[j]
+                for e1, a1 in xc.items():
+                    for e2, a2 in yc.items():
+                        e = tuple(map(add, e1, e2))
+                        acc[e] = acc.get(e, 0) + a1 * a2
+        nv = row[0].nvars
+        out.append(tuple(_mpoly_of(nv, acc) for acc in accs))
     return tuple(out)
-
-
-def _pm_add(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _pm_scale(a: PolyMatrix, p: MPoly) -> PolyMatrix:
-    return tuple(tuple(x * p for x in row) for row in a)
 
 
 def _pm_eq(a: PolyMatrix, b: PolyMatrix) -> bool:
@@ -207,6 +232,8 @@ class GradedCModule:
         self.gens = tuple(int(g) for g in gens)
         self.theta = tuple(_pm(m) for m in theta)
         self.left = tuple(_pm(m) for m in left)
+        # monomial matrices asked for by tensor (with the lower powers they
+        # were built from); _validate keeps its own table
         self._mono_cache: dict[tuple, PolyMatrix] = {}
         if check:
             self._validate()
@@ -249,8 +276,9 @@ class GradedCModule:
                 if not _pm_eq(_pm_mul(self.left[c], self.left[d]),
                               _pm_mul(self.left[d], self.left[c])):
                     raise ValueError(f"left tables {c} and {d} do not commute")
+        powers: dict[tuple, PolyMatrix] = {}  # shared by the invariants, dropped on return
         for j, y in enumerate(invs):
-            if not _pm_eq(self._eval_poly(y), _pm_scale(_pm_identity(n, self.nvars), y)):
+            if not _pm_eq(self._eval_poly(y, powers), _pm_scalar(n, y)):
                 raise ValueError(f"left table does not reproduce invariant {j}")
         for j in range(len(invs)):
             for k in range(j + 1, len(invs)):
@@ -277,23 +305,44 @@ class GradedCModule:
 
     # -- scalar pushing -----------------------------------------------------------
 
-    def _monomial_matrix(self, exps: tuple) -> PolyMatrix:
-        got = self._mono_cache.get(exps)
-        if got is not None:
-            return got
-        out = _pm_identity(self.size(), self.nvars)
-        for c, k in enumerate(exps):
-            for _ in range(k):
-                out = _pm_mul(out, self.left[c])
-        self._mono_cache[exps] = out
-        return out
+    def _monomial_matrix(self, exps: tuple, powers: dict) -> PolyMatrix:
+        """Matrix of left multiplication by the monomial with exponents exps.
 
-    def _eval_poly(self, p: MPoly) -> PolyMatrix:
-        """Matrix of left multiplication by an arbitrary polynomial."""
-        acc = _pm_zero(self.size(), self.size(), self.nvars)
+        Taken from powers if held there; otherwise built with one product
+        from the monomial one degree lower (one fewer factor of its first
+        variable), which is found or built the same way.  Every matrix built
+        is added to powers.
+        """
+        got = powers.get(exps)
+        path = []
+        cur = exps
+        while got is None:
+            if not any(cur):
+                got = _pm_scalar(self.size(), MPoly.const(self.nvars, 1))
+                break
+            c = next(i for i, k in enumerate(cur) if k)
+            path.append((cur, c))
+            cur = cur[:c] + (cur[c] - 1,) + cur[c + 1:]
+            got = powers.get(cur)
+        for key, c in reversed(path):
+            got = _pm_mul(got, self.left[c])
+            powers[key] = got
+        return got
+
+    def _eval_poly(self, p: MPoly, powers: dict) -> PolyMatrix:
+        """Matrix of left multiplication by an arbitrary polynomial.
+
+        The monomial matrices come from _monomial_matrix with the given
+        power table; their multiples are summed entrywise into one dict each.
+        """
+        n = self.size()
+        acc = [[{} for _ in range(n)] for _ in range(n)]
         for exps, a in p._c.items():
-            acc = _pm_add(acc, _pm_scale(self._monomial_matrix(exps), MPoly.const(self.nvars, a)))
-        return acc
+            for arow, mrow in zip(acc, self._monomial_matrix(exps, powers)):
+                for cell, x in zip(arow, mrow):
+                    for e, b in x._c.items():
+                        cell[e] = cell.get(e, 0) + a * b
+        return tuple(tuple(_mpoly_of(self.nvars, cell) for cell in row) for row in acc)
 
     def __repr__(self) -> str:
         return f"GradedCModule(gens={self.gens}, over {self.datum.name})"
@@ -307,7 +356,12 @@ def atom_E(datum: RootDatum, x: AffineElt) -> GradedCModule:
 
     Wall operators multiply by the derivative of each invariant along the
     translation part; the left table twists coordinates by the finite part.
+    Built once per (datum, x).
     """
+    twists = _mstate(datum).twists
+    got = twists.get(x)
+    if got is not None:
+        return got
     n = datum.rank
     invs = fundamental_invariants(datum)
     lam = x.lam
@@ -320,7 +374,9 @@ def atom_E(datum: RootDatum, x: AffineElt) -> GradedCModule:
         theta.append(_pm([[acc]]))
     wmat = x.w.matrix
     left = [_pm([[MPoly.linear([wmat[c][d] for d in range(n)])]]) for c in range(n)]
-    return GradedCModule(datum, (0,), theta, left)
+    out = GradedCModule(datum, (0,), theta, left)
+    twists[x] = out
+    return out
 
 
 def _ext_gcd_list(values: list[int]) -> tuple[int, list[int]]:
@@ -339,7 +395,10 @@ def _ext_gcd_list(values: list[int]) -> tuple[int, list[int]]:
         g = x * g + y * a
         coeffs = [c * x for c in coeffs]
         coeffs[i] += y
-        assert g == math.gcd(old_g, a)
+        if g != math.gcd(old_g, a):
+            raise RuntimeError(f"extended gcd of {old_g} and {a} returned {g}")
+    if sum(c * a for c, a in zip(coeffs, values)) != g:
+        raise RuntimeError(f"cofactors {coeffs} do not combine {values} to {g}")
     return g, coeffs
 
 
@@ -377,7 +436,7 @@ def atom_D_finite(datum: RootDatum, s: SimpleReflection) -> GradedCModule:
     j_form = coroot_form * g - delta * 2
     q_form = delta * delta + j_form * delta
     invs = fundamental_invariants(datum)
-    zero2 = _pm_zero(2, 2, n)
+    zero2 = _pm_scalar(2, MPoly.zero(n))
     theta = [zero2 for _ in invs]
     left = []
     for c in range(n):
@@ -414,7 +473,13 @@ def atom_D_affine(datum: RootDatum, s: SimpleReflection) -> GradedCModule:
 
 
 def atom_for(datum: RootDatum, s: SimpleReflection) -> GradedCModule:
-    return atom_D_finite(datum, s) if s.kind == "finite" else atom_D_affine(datum, s)
+    """The wall atom of a letter, built once per (datum, letter)."""
+    atoms = _mstate(datum).atoms
+    got = atoms.get(s.label)
+    if got is None:
+        got = atom_D_finite(datum, s) if s.kind == "finite" else atom_D_affine(datum, s)
+        atoms[s.label] = got
+    return got
 
 
 # -- tensor product -----------------------------------------------------------------------------
@@ -449,7 +514,7 @@ def tensor(m: GradedCModule, n: GradedCModule) -> GradedCModule:
                 p = table[a][i]
                 if p.is_zero():
                     continue
-                across = n._eval_poly(p)
+                across = n._eval_poly(p, n._mono_cache)
                 for k in range(sn):
                     for bq in range(sn):
                         val = across[bq][k]
@@ -474,12 +539,24 @@ def tensor(m: GradedCModule, n: GradedCModule) -> GradedCModule:
 
 def bs_module(datum: RootDatum, omega: AffineElt, word) -> GradedCModule:
     """The chain module of (omega, word): the twist atom tensored with one
-    wall atom per letter, left to right."""
+    wall atom per letter, left to right.
+
+    Each chain is built once per datum, as the tensor of the longest prefix
+    chain already held with the atoms of the remaining letters.
+    """
     if omega.length != 0:
         raise ValueError("the twist in front of a chain must have length zero")
-    out = atom_E(datum, omega)
-    for s in word:
-        out = tensor(out, atom_for(datum, s))
+    chains = _mstate(datum).chains
+    labels = tuple(s.label for s in word)
+    k = len(labels)
+    while k and (omega, labels[:k]) not in chains:
+        k -= 1
+    out = chains.get((omega, labels[:k]))
+    if out is None:
+        out = chains[(omega, ())] = atom_E(datum, omega)
+    for i in range(k, len(labels)):
+        out = tensor(out, atom_for(datum, word[i]))
+        chains[(omega, labels[:i + 1])] = out
     return out
 
 

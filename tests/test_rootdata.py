@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hsw.rootdata import (RootDatum, datum_from_file, datum_from_json,
-                          datum_preset, load_datum, product_datum)
+                          datum_preset, load_datum)
 
 
 def test_preset_counts(a1, a2, b2, g2):

@@ -1,11 +1,14 @@
+import random
+
 import pytest
 
+import hsw.soergel as soergel
 from hsw.affine import affine_identity, simple_reflections, word_elt
 from hsw.laurent import LaurentPoly
 from hsw.mpoly import MPoly
 from hsw.rootdata import datum_preset
-from hsw.soergel import (CutoffError, GradedCModule, atom_D_finite, atom_E,
-                         atom_for, bs_module, fundamental_invariants,
+from hsw.soergel import (CutoffError, GradedCModule, _pm_mul, atom_D_finite,
+                         atom_E, atom_for, bs_module, fundamental_invariants,
                          hom_graded_rank, modules_equal, oracle_vs_hecke,
                          tensor)
 from hsw.spherical import hom_rank
@@ -142,7 +145,9 @@ def test_validation_rejects_tampering(a1):
 
 def test_modules_equal_discriminates(a1):
     s, s0 = simple_reflections(a1)
-    assert modules_equal(atom_for(a1, s), atom_for(a1, s))
+    fresh = atom_D_finite(a1, s)
+    assert fresh is not atom_for(a1, s)
+    assert modules_equal(atom_for(a1, s), fresh)
     assert not modules_equal(atom_for(a1, s), atom_for(a1, s0))
 
 
@@ -154,3 +159,190 @@ def test_oracle_row(a1):
     assert row["oracle"] == row["predicted"] == {"1": 2, "3": 1}
     assert row["left"] == {"omega": [0], "word": ["s0"]}
     assert row["cutoff"] == 16
+
+
+# -- matrix kernels against naive products written here ---------------------------------
+
+
+def _naive_mul(a, b):
+    """Entrywise sum of MPoly products, the textbook matrix product."""
+    nv = a[0][0].nvars
+    out = []
+    for row in a:
+        orow = []
+        for j in range(len(b[0])):
+            acc = MPoly.zero(nv)
+            for k, x in enumerate(row):
+                acc = acc + x * b[k][j]
+            orow.append(acc)
+        out.append(orow)
+    return out
+
+
+def _same(a, b):
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def _rand_poly(rng, nv):
+    if rng.random() < 0.4:
+        return MPoly.zero(nv)
+    terms = {}
+    for _ in range(rng.randrange(1, 4)):
+        e = tuple(rng.randrange(0, 3) for _ in range(nv))
+        terms[e] = terms.get(e, 0) + rng.randrange(-3, 4)
+    return MPoly(nv, terms)
+
+
+def test_pm_mul_matches_naive_product(a2, g2):
+    rng = random.Random(5)
+    for datum in (a2, g2):
+        nv = datum.rank
+        e = affine_identity(datum)
+        s1, s2 = simple_reflections(datum)[:2]
+        chain = bs_module(datum, e, (s1, s2))
+        for a, b in [(chain.left[0], chain.left[1]),
+                     (chain.left[1], chain.left[0]),
+                     (atom_for(datum, s2).left[0], atom_for(datum, s1).left[1])]:
+            assert _same(_pm_mul(a, b), _naive_mul(a, b))
+        for n, m, k in [(1, 1, 1), (2, 2, 2), (4, 4, 4), (2, 3, 4), (4, 1, 2)]:
+            for _ in range(8):
+                a = [[_rand_poly(rng, nv) for _ in range(m)] for _ in range(n)]
+                b = [[_rand_poly(rng, nv) for _ in range(k)] for _ in range(m)]
+                got = _pm_mul(a, b)
+                assert len(got) == n and all(len(row) == k for row in got)
+                assert _same(got, _naive_mul(a, b))
+                # cancelled monomials are dropped, so zero entries are empty
+                assert all(all(got_c for got_c in x._c.values())
+                           for row in got for x in row)
+    # a product whose entry cancels to zero
+    x, y = MPoly.var(2, 0), MPoly.var(2, 1)
+    got = _pm_mul([[x, -x]], [[y], [y]])
+    assert got[0][0].is_zero() and got[0][0] == MPoly.zero(2)
+
+
+def test_monomial_matrix_matches_product_from_identity(g2):
+    e = affine_identity(g2)
+    s1, s2 = simple_reflections(g2)[:2]
+    m = bs_module(g2, e, (s1, s2))
+    one, zero = MPoly.const(2, 1), MPoly.zero(2)
+    identity = [[one if i == j else zero for j in range(m.size())]
+                for i in range(m.size())]
+    powers = {}   # shared over every monomial, so lower powers are reused
+    monos = [exps for y in fundamental_invariants(g2) for exps in y._c]
+    assert max(sum(exps) for exps in monos) == 6
+    for exps in monos:
+        want = identity
+        for c, k in enumerate(exps):
+            for _ in range(k):
+                want = _naive_mul(want, m.left[c])
+        assert _same(m._monomial_matrix(exps, powers), want)
+        assert _same(m._monomial_matrix(exps, {}), want)
+    # every power built on the way is a correct power too
+    for exps, mat in powers.items():
+        want = identity
+        for c, k in enumerate(exps):
+            for _ in range(k):
+                want = _naive_mul(want, m.left[c])
+        assert _same(mat, want)
+
+
+# -- each atom and chain is built once per datum -------------------------------------------
+
+
+def test_bs_module_is_built_once(a2):
+    e = affine_identity(a2)
+    s1, s2, _ = simple_reflections(a2)
+    word = (s1, s2, s1)
+    m = bs_module(a2, e, word)
+    assert bs_module(a2, e, word) is m
+    assert atom_for(a2, s1) is atom_for(a2, s1)
+    assert atom_E(a2, e) is atom_E(a2, e)
+    fresh = atom_E(a2, e)
+    for s in word:
+        fresh = tensor(fresh, atom_D_finite(a2, s))
+    assert fresh is not m
+    assert modules_equal(fresh, m)
+
+
+def test_chain_extends_longest_held_prefix(monkeypatch):
+    datum = datum_preset("A2")   # a fresh datum with empty tables
+    e = affine_identity(datum)
+    s1, s2, _ = simple_reflections(datum)
+    calls = []
+    real = soergel.tensor
+
+    def counting(m, n):
+        calls.append(n)
+        return real(m, n)
+
+    monkeypatch.setattr(soergel, "tensor", counting)
+    bs_module(datum, e, (s1, s2))
+    assert len(calls) == 2
+    bs_module(datum, e, (s1, s2, s1))
+    assert len(calls) == 3 and calls[-1] is atom_for(datum, s1)
+    bs_module(datum, e, (s1,))
+    assert len(calls) == 3
+    bs_module(datum, e, (s2,))
+    assert len(calls) == 4
+    bs_module(datum, e, ())
+    assert len(calls) == 4
+
+
+# -- every branch of the constructor's validation -----------------------------------------
+
+
+def _tables(mats):
+    return [[list(row) for row in mat] for mat in mats]
+
+
+def test_validate_rejects_each_branch(g2):
+    e = affine_identity(g2)
+    s1, s2 = simple_reflections(g2)[:2]
+    m = bs_module(g2, e, (s1, s2))
+    assert m.gens == (-2, 0, 0, 2)
+    u1, u2 = MPoly.var(2, 0), MPoly.var(2, 1)
+    zero = MPoly.zero(2)
+    # the untampered tables pass
+    GradedCModule(g2, m.gens, m.theta, m.left)
+
+    # left tables: a linear term between the two degree-0 generators
+    left = _tables(m.left)
+    left[0][1][2] = left[0][1][2] + u1
+    with pytest.raises(ValueError, match="left tables 0 and 1 do not commute"):
+        GradedCModule(g2, m.gens, m.theta, left)
+
+    # invariants: add a summand on two degree-0 generators where u_c acts as
+    # u_c + n_c * E12; the vector field n kills the quadratic invariant y0
+    # but not the sextic y1, so only the power-table evaluation of y1 fails
+    y0, y1 = fundamental_invariants(g2)
+    n = (y0.deriv(1), -y0.deriv(0))
+    assert n[0] * y0.deriv(0) + n[1] * y0.deriv(1) == zero
+    assert not (n[0] * y1.deriv(0) + n[1] * y1.deriv(1)).is_zero()
+    size = m.size()
+
+    def with_summand(mat, block):
+        rows = [list(row) + [zero, zero] for row in mat]
+        rows.append([zero] * size + list(block[0]))
+        rows.append([zero] * size + list(block[1]))
+        return rows
+
+    coords = (u1, u2)
+    left = [with_summand(m.left[c], [[coords[c], n[c]], [zero, coords[c]]])
+            for c in range(2)]
+    theta = [with_summand(t, [[zero, zero], [zero, zero]]) for t in m.theta]
+    with pytest.raises(ValueError, match="does not reproduce invariant 1"):
+        GradedCModule(g2, m.gens + (0, 0), theta, left)
+
+    # wall operators: matrix units between the degree-0 generators, of the
+    # operator degrees 2 and 10, do not commute with each other
+    theta = _tables(m.theta)
+    theta[0][1][2] = u1
+    theta[1][2][1] = u1 * y0 * y0
+    with pytest.raises(ValueError, match="wall operators 0 and 1 do not commute"):
+        GradedCModule(g2, m.gens, theta, m.left)
+
+    # wall operator against the left tables
+    theta = _tables(m.theta)
+    theta[0][1][2] = u1
+    with pytest.raises(ValueError, match=r"theta\[0\] does not commute with left"):
+        GradedCModule(g2, m.gens, theta, m.left)
