@@ -3,17 +3,25 @@
 Three layers:
 
 * a q-Kostant partition counter over the positive roots (exact dynamic
-  programming on root-lattice coordinates),
+  programming on root-lattice coordinates), memoised by the weight it is
+  asked for, so that a repeated value, zero included, needs no solve for
+  root coordinates,
 * the alternating Weyl sum producing the graded multiplicity polynomial of
-  a dominant weight inside an irreducible highest-weight module,
+  a dominant weight inside an irreducible highest-weight module, read off a
+  table of the pairs (l(w) mod 2, w(2 eta + 2 rho)) built once per highest
+  weight eta,
 * an independent Freudenthal recursion for the same multiplicity at q = 1,
-  using the symmetrized invariant form, in integer arithmetic.
+  using the symmetrized invariant form, in integer arithmetic: each
+  root-string sum is memoised as one step plus the sum one step further up
+  the string, so the work is linear in the number of weights times the
+  number of positive roots.
 
 The polynomials here live in the variable q; the comparison against module
 coefficients substitutes q = v^-2.
 
-All formulas are run through doubled weights (2 eta + 2 rho and friends) so
-that every intermediate stays in the integer lattice.
+The alternating sum runs through doubled weights (2 eta + 2 rho and
+friends) so that every intermediate stays in the integer lattice; the
+invariant form takes integer values on weights and root coordinates.
 """
 
 from __future__ import annotations
@@ -31,10 +39,11 @@ from .worklist import fill
 class _QState:
     def __init__(self):
         self.solver = None
-        self.kostant: dict[tuple, LaurentPoly] = {}
+        self.kostant: dict[Vec, LaurentPoly] = {}
         self.partial: dict[tuple, LaurentPoly] = {}
+        self.orbits: dict[Vec, tuple[tuple[int, Vec], ...]] = {}
         self.symmetrizer: tuple[int, ...] | None = None
-        self.freud: dict[Vec, dict[Vec, int]] = {}
+        self.freud: dict[Vec, dict[tuple, int]] = {}
         self.weights: dict[Vec, tuple[Vec, ...]] = {}
 
 
@@ -91,18 +100,22 @@ def kostant_q(datum: RootDatum, beta) -> LaurentPoly:
 
     Returns the polynomial sum over unordered decompositions of q^(number of
     parts); zero when beta is not a nonnegative integral root combination.
+    Values are memoised by the weight itself, zero ones included, so a
+    repeated call solves no root coordinates.
     """
     st = _qstate(datum)
-    rc = root_coords_int(datum, beta)
-    if rc is None or any(x < 0 for x in rc):
-        return ZERO
-    cached = st.kostant.get(rc)
+    beta = tuple(map(int, beta))
+    cached = st.kostant.get(beta)
     if cached is not None:
         return cached
-    roots = sorted((r.root_coords for r in datum.positive_roots()),
-                   key=lambda t: (-sum(t), t))
-    out = _kostant_rec(st, tuple(roots), 0, rc)
-    st.kostant[rc] = out
+    rc = root_coords_int(datum, beta)
+    if rc is None or any(x < 0 for x in rc):
+        out = ZERO
+    else:
+        roots = sorted((r.root_coords for r in datum.positive_roots()),
+                       key=lambda t: (-sum(t), t))
+        out = _kostant_rec(st, tuple(roots), 0, rc)
+    st.kostant[beta] = out
     return out
 
 
@@ -117,14 +130,14 @@ def _kostant_rec(st: _QState, roots, i: int, rem: Vec) -> LaurentPoly:
         return cached
     rc = roots[i]
     kmax = min(rem[j] // rc[j] for j in range(len(rc)) if rc[j])
-    total = ZERO
+    acc: dict[int, int] = {}   # sum over k of q^k times the value at rem - k roots[i]
     cur = rem
     for k in range(kmax + 1):
         if k:
             cur = tuple(a - b for a, b in zip(cur, rc))
-        sub = _kostant_rec(st, roots, i + 1, cur)
-        if sub:
-            total = total + sub * LaurentPoly({k: 1})
+        for e, a in _kostant_rec(st, roots, i + 1, cur)._c.items():
+            acc[e + k] = acc.get(e + k, 0) + a
+    total = LaurentPoly(acc)
     st.partial[key] = total
     return total
 
@@ -132,27 +145,39 @@ def _kostant_rec(st: _QState, roots, i: int, rem: Vec) -> LaurentPoly:
 # -- graded multiplicity ------------------------------------------------------------------
 
 
+def _orbit(datum: RootDatum, eta: Vec) -> tuple[tuple[int, Vec], ...]:
+    """The pairs (l(w) mod 2, w(2 eta + 2 rho)) over the Weyl group, built
+    once per highest weight."""
+    st = _qstate(datum)
+    orbit = st.orbits.get(eta)
+    if orbit is None:
+        top = vec_add(vec_scale(2, eta), datum.two_rho())
+        orbit = tuple((w.length % 2, w.act(top)) for w in datum.weyl_elements())
+        st.orbits[eta] = orbit
+    return orbit
+
+
 def lusztig_q(datum: RootDatum, chi, eta) -> LaurentPoly:
     """The graded multiplicity polynomial of weight chi in the module of
     highest weight eta (eta must be dominant), as an alternating Weyl sum of
-    q-Kostant values.
+    q-Kostant values: the sum over w of (-1)^l(w) times the q-Kostant value
+    at (w(2 eta + 2 rho) - (2 chi + 2 rho)) / 2, read off the orbit table of
+    eta.
     """
     chi = tuple(int(x) for x in chi)
     eta = tuple(int(x) for x in eta)
     if not datum.is_dominant(eta):
         raise ValueError(f"highest weight {eta} must be dominant")
-    two_rho = datum.two_rho()
-    target = vec_add(vec_scale(2, chi), two_rho)
-    out = ZERO
-    for w in datum.weyl_elements():
-        arg2 = vec_sub(w.act(vec_add(vec_scale(2, eta), two_rho)), target)
+    target = vec_add(vec_scale(2, chi), datum.two_rho())
+    acc: dict[int, int] = {}
+    for odd, image in _orbit(datum, eta):
+        arg2 = vec_sub(image, target)
         if any(x % 2 for x in arg2):
             raise RuntimeError("doubled weight difference is odd; invariant broken")
-        half = tuple(x // 2 for x in arg2)
-        term = kostant_q(datum, half)
-        if term:
-            out = out + term if w.length % 2 == 0 else out - term
-    return out
+        term = kostant_q(datum, tuple(x // 2 for x in arg2))
+        for e, a in term._c.items():
+            acc[e] = acc.get(e, 0) + (-a if odd else a)
+    return LaurentPoly(acc)
 
 
 # -- Freudenthal oracle -------------------------------------------------------------------
@@ -196,12 +221,29 @@ def _form(datum: RootDatum, x_coords, y) -> int:
                for j, c in enumerate(x_coords) if c)
 
 
+def _gap(datum: RootDatum, eta: Vec, chi: Vec) -> Vec | None:
+    """The root coordinates of eta - chi when they are nonnegative integers,
+    else None.  For dominant chi, None means chi is not a weight of the module
+    of highest weight eta."""
+    gap = root_coords_int(datum, vec_sub(eta, chi))
+    if gap is None or any(x < 0 for x in gap):
+        return None
+    return gap
+
+
 def freudenthal_mult(datum: RootDatum, eta, chi) -> int:
     """Ungraded multiplicity of chi in the module of highest weight eta,
-    by the Freudenthal recursion (independent of the alternating sum).
+    by the Freudenthal recursion (independent of the alternating sum)
 
-    Each value needs only dominant weights strictly closer to eta; they are
-    filled from an explicit stack (``hsw.worklist``), not by Python recursion.
+        B(eta - chi, eta + chi + 2 rho) m(chi) = 2 sum_(alpha > 0) S(chi, alpha),
+
+    with the root-string sums S(chi, alpha) = sum_(k >= 1) m(chi + k alpha)
+    B(chi + k alpha, alpha) memoised one step at a time:
+    S(chi, alpha) = m(chi + alpha) B(chi + alpha, alpha) + S(chi + alpha, alpha),
+    and zero once chi + alpha leaves the weights of the module.  The memo of
+    each eta keys m by dominant weight (m is Weyl-invariant) and S by
+    (weight, index of alpha).  Both are filled in integers from one explicit
+    stack (``hsw.worklist``), not by Python recursion.
     """
     eta = tuple(int(x) for x in eta)
     chi = tuple(int(x) for x in chi)
@@ -209,38 +251,35 @@ def freudenthal_mult(datum: RootDatum, eta, chi) -> int:
         raise ValueError(f"highest weight {eta} must be dominant")
     st = _qstate(datum)
     memo = st.freud.setdefault(eta, {eta: 1})
-    two_rho = datum.two_rho()
-    # doubled arguments throughout: B(2x, 2y) = 4 B(x, y) cancels in the ratio
-    eta2 = vec_scale(2, eta)
+    roots = datum.positive_roots()
+    top = vec_add(eta, datum.two_rho())
 
-    def mult(chip: Vec):
-        gap = root_coords_int(datum, vec_sub(eta, chip))
-        if gap is None or any(x < 0 for x in gap):
+    def steps(key):
+        if isinstance(key[0], tuple):          # the string sum S(chi, roots[i])
+            chip, i = key
+            root = roots[i]
+            nxt = vec_add(chip, root.vec)
+            dom = datum.dominant_rep(nxt)
+            if _gap(datum, eta, dom) is None:
+                return 0
+            m = yield dom
+            rest = yield (nxt, i)
+            return m * _form(datum, root.root_coords, nxt) + rest
+        gap = _gap(datum, eta, key)
+        if gap is None:
             return 0
-        chip2 = vec_scale(2, chip)
-        denom = _form(datum, vec_scale(2, gap), vec_add(vec_add(eta2, chip2), vec_scale(2, two_rho)))
+        denom = _form(datum, gap, vec_add(top, key))
         if denom == 0:
             return 0
         total = 0
-        for r in datum.positive_roots():
-            k = 1
-            while True:
-                mu = vec_add(chip, vec_scale(k, r.vec))
-                mup = datum.dominant_rep(mu)
-                gap2 = root_coords_int(datum, vec_sub(eta, mup))
-                if gap2 is None or any(x < 0 for x in gap2):
-                    break
-                m = yield mup
-                if m:
-                    total += m * _form(datum, vec_scale(2, r.root_coords),
-                                       vec_scale(2, mu))
-                k += 1
+        for i in range(len(roots)):
+            total += yield (key, i)
         val, rem = divmod(2 * total, denom)
         if rem:
             raise RuntimeError("Freudenthal recursion produced a non-integer")
         return val
 
-    return fill(memo, datum.dominant_rep(chi), mult)
+    return fill(memo, datum.dominant_rep(chi), steps)
 
 
 def weyl_dim(datum: RootDatum, eta) -> int:
@@ -273,8 +312,7 @@ def weights_of_irrep(datum: RootDatum, eta) -> tuple[Vec, ...]:
         return cached
 
     def inside(chi: Vec) -> bool:
-        gap = root_coords_int(datum, vec_sub(eta, datum.dominant_rep(chi)))
-        return gap is not None and all(x >= 0 for x in gap)
+        return _gap(datum, eta, datum.dominant_rep(chi)) is not None
 
     seen = {eta}
     queue = [eta]

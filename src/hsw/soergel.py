@@ -603,6 +603,7 @@ def hom_graded_rank(m: GradedCModule, n: GradedCModule, cutoff: int = 16) -> Lau
 
 
 def _hom_dim(m: GradedCModule, n: GradedCModule, invs, d: int) -> int:
+    add = operator.add
     r = m.nvars
     unknowns: list[tuple[int, int, tuple]] = []
     by_pair: dict[tuple[int, int], list[tuple[tuple, int]]] = {}
@@ -625,30 +626,33 @@ def _hom_dim(m: GradedCModule, n: GradedCModule, invs, d: int) -> int:
                 t2 = gi + opdeg + d - hb
                 if t2 < 0 or t2 % 2:
                     continue
-                contrib: dict[int, MPoly] = {}
+                # each unknown's coefficient polynomial, as exponents -> int
+                contrib: dict[int, dict[tuple, int]] = {}
                 for a in range(n.size()):
-                    p = n.theta[j][b][a]
-                    if p.is_zero():
+                    pc = n.theta[j][b][a]._c
+                    if not pc:
                         continue
                     for mono, uidx in by_pair.get((i, a), ()):  # theta after phi
-                        term = p * MPoly(r, {mono: 1})
-                        cur = contrib.get(uidx)
-                        contrib[uidx] = term if cur is None else cur + term
+                        acc = contrib.setdefault(uidx, {})
+                        for e, c in pc.items():
+                            e = tuple(map(add, e, mono))
+                            acc[e] = acc.get(e, 0) + c
                 for a2 in range(m.size()):
-                    p = m.theta[j][a2][i]
-                    if p.is_zero():
+                    pc = m.theta[j][a2][i]._c
+                    if not pc:
                         continue
                     for mono, uidx in by_pair.get((a2, b), ()):  # phi after theta
-                        term = p * MPoly(r, {mono: 1})
-                        cur = contrib.get(uidx)
-                        contrib[uidx] = (-term) if cur is None else cur - term
+                        acc = contrib.setdefault(uidx, {})
+                        for e, c in pc.items():
+                            e = tuple(map(add, e, mono))
+                            acc[e] = acc.get(e, 0) - c
                 if not contrib:
                     continue
                 for mono_out in monomials_of_degree(r, t2 // 2):
                     row = [0] * len(unknowns)
                     touched = False
-                    for uidx, poly in contrib.items():
-                        cc = poly.coeff(mono_out)
+                    for uidx, acc in contrib.items():
+                        cc = acc.get(mono_out, 0)
                         if cc:
                             row[uidx] = cc
                             touched = True

@@ -1,13 +1,92 @@
+import itertools
 import sys
 
 import pytest
 
+from hsw import qanalogue
 from hsw.laurent import ONE, ZERO, LaurentPoly
-from hsw.qanalogue import (_symmetrizer, dominant_weights_by_length, freudenthal_mult,
+from hsw.qanalogue import (_form, _symmetrizer, dominant_weights_by_length, freudenthal_mult,
                            kato_check, kato_grid, kostant_q, lusztig_q,
                            root_coords_int, weights_of_irrep, weyl_dim)
-from hsw.rootdata import datum_preset
+from hsw.rootdata import datum_preset, vec_add, vec_scale, vec_sub
 from hsw.verify import weights_by_length
+from hsw.worklist import fill
+
+
+def _freudenthal_walk(datum, eta, chi, memo):
+    """Reference Freudenthal recursion: each dominant value walks every
+    positive-root string above it, solving root coordinates per step."""
+    two_rho = datum.two_rho()
+    eta2 = vec_scale(2, eta)
+
+    def below(mu):
+        gap = root_coords_int(datum, vec_sub(eta, mu))
+        return None if gap is None or any(x < 0 for x in gap) else gap
+
+    def mult(chip):
+        gap = below(chip)
+        if gap is None:
+            return 0
+        denom = _form(datum, vec_scale(2, gap),
+                      vec_add(vec_add(eta2, vec_scale(2, chip)), vec_scale(2, two_rho)))
+        if denom == 0:
+            return 0
+        total = 0
+        for r in datum.positive_roots():
+            k = 1
+            while True:
+                mu = vec_add(chip, vec_scale(k, r.vec))
+                mup = datum.dominant_rep(mu)
+                if below(mup) is None:
+                    break
+                m = yield mup
+                if m:
+                    total += m * _form(datum, vec_scale(2, r.root_coords), vec_scale(2, mu))
+                k += 1
+        val, rem = divmod(2 * total, denom)
+        assert rem == 0
+        return val
+
+    memo.setdefault(eta, 1)
+    return fill(memo, datum.dominant_rep(chi), mult)
+
+
+def _kostant_reference(datum, rc, memo):
+    """q-Kostant value at root coordinates rc, by recursion over the positive
+    roots, memoised in memo by (root index, remainder)."""
+    roots = [r.root_coords for r in datum.positive_roots()]
+
+    def count(i, rem):
+        if not any(rem):
+            return ONE
+        if i == len(roots):
+            return ZERO
+        if (i, rem) not in memo:
+            out, k, cur = ZERO, 0, rem
+            while all(x >= 0 for x in cur):
+                out = out + count(i + 1, cur) * LaurentPoly({k: 1})
+                cur = vec_sub(cur, roots[i])
+                k += 1
+            memo[i, rem] = out
+        return memo[i, rem]
+
+    return count(0, rc)
+
+
+def _lusztig_reference(datum, chi, eta, memo):
+    """The alternating Weyl sum with root coordinates solved per term."""
+    two_rho = datum.two_rho()
+    top = vec_add(vec_scale(2, eta), two_rho)
+    target = vec_add(vec_scale(2, chi), two_rho)
+    out = ZERO
+    for w in datum.weyl_elements():
+        half = tuple(x // 2 for x in vec_sub(w.act(top), target))
+        rc = root_coords_int(datum, half)
+        if rc is None or any(x < 0 for x in rc):
+            continue
+        term = _kostant_reference(datum, rc, memo)
+        out = out - term if w.length % 2 else out + term
+    return out
 
 
 def test_kostant_goldens(a1, a2):
@@ -23,6 +102,26 @@ def test_kostant_vanishes_off_cone(a1, a2):
     assert kostant_q(a1, (1,)) == ZERO       # not in the root lattice
     assert kostant_q(a1, (-2,)) == ZERO      # negative root direction
     assert kostant_q(a2, (1, -2)) == ZERO
+
+
+def test_kostant_accepts_a_list():
+    a2 = datum_preset("A2")
+    assert kostant_q(a2, [2, 2]) == LaurentPoly({2: 1, 3: 1, 4: 1})
+    assert kostant_q(a2, (2, 2)) is kostant_q(a2, [2, 2])
+    assert kostant_q(a2, [1, 0]) == ZERO
+
+
+@pytest.mark.parametrize("name, beta", [("A1", (1,)), ("A2", (1, 0)), ("GL3", (1, 1, 1)),
+                                        ("GL3", (1, 0, 0)), ("G2", (-3, 2))])
+def test_kostant_zero_off_cone_is_remembered(monkeypatch, name, beta):
+    datum = datum_preset(name)
+    assert kostant_q(datum, beta) == ZERO
+    solves = []
+    monkeypatch.setattr(qanalogue, "root_coords_int",
+                        lambda *args: solves.append(args) or root_coords_int(*args))
+    assert kostant_q(datum, beta) == ZERO
+    assert kostant_q(datum, list(beta)) == ZERO
+    assert solves == []
 
 
 def test_root_coords(a2):
@@ -75,8 +174,35 @@ def test_deep_freudenthal_needs_no_recursion():
     sys.setrecursionlimit(200)
     try:
         assert freudenthal_mult(a1, (400,), (0,)) == 1
+        assert freudenthal_mult(a1, (3000,), (0,)) == 1
     finally:
         sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("name, box", [("A1", 3), ("A2", 3), ("B2", 3), ("G2", 2),
+                                       ("A1xA1", 2), ("GL3", 1)])
+def test_freudenthal_matches_root_string_walk(name, box):
+    datum = datum_preset(name)
+    for eta in itertools.product(range(box + 1), repeat=datum.rank):
+        if not datum.is_dominant(eta):
+            continue
+        memo = {}
+        for chi in weights_of_irrep(datum, eta):
+            assert freudenthal_mult(datum, eta, chi) == _freudenthal_walk(datum, eta, chi, memo)
+
+
+@pytest.mark.parametrize("name, box", [("B2", 2), ("G2", 1)])
+def test_lusztig_matches_per_term_solve(name, box):
+    ref = datum_preset(name)
+    around = tuple(itertools.product(range(-3, 4), repeat=ref.rank))
+    cases = [(eta, chi) for eta in itertools.product(range(box + 1), repeat=ref.rank)
+             if ref.is_dominant(eta) for chi in weights_of_irrep(ref, eta) + around]
+    memo = {}
+    want = {case: _lusztig_reference(ref, case[1], case[0], memo) for case in cases}
+    for datum in (datum_preset(name), datum_preset(name)):   # each datum starts cold
+        for _ in range(2):                                    # then warm
+            for eta, chi in cases:
+                assert lusztig_q(datum, chi, eta) == want[eta, chi]
 
 
 def test_lusztig_at_one_is_multiplicity(a2, b2):
