@@ -7,6 +7,11 @@ pairing formula over positive roots, so no Coxeter presentation is needed to
 measure an element.  The length-zero subgroup (isomorphic to the weight
 lattice modulo the root lattice) is handled lazily and never enumerated
 unless it is finite.
+
+Per datum, the tables of ``datum._affine_state`` intern the elements
+(``elts``) and memoise generator products (``mul_simple``), reduced words
+(``reduced``) and coset representatives (``min_reps``); its ``once`` table
+holds the generators and the length-zero elements.
 """
 
 from __future__ import annotations
@@ -94,35 +99,13 @@ class SimpleReflection:
         return f"SimpleReflection({self.label})"
 
 
-class _AffineState:
-    """Per-datum interning tables and caches."""
-
-    def __init__(self, datum: RootDatum):
-        self.datum = datum
-        self.elts: dict[tuple, AffineElt] = {}
-        self.simples: tuple[SimpleReflection, ...] | None = None
-        self.reduced: dict[AffineElt, tuple[AffineElt, tuple[SimpleReflection, ...]]] = {}
-        self.min_reps: dict[Vec, AffineElt] = {}
-        self.mul_simple: dict[tuple[AffineElt, str], AffineElt] = {}
-        self.omegas: tuple[AffineElt, ...] | None = None
-
-
-def _state(datum: RootDatum) -> _AffineState:
-    st = getattr(datum, "_affine_state", None)
-    if st is None:
-        st = _AffineState(datum)
-        datum._affine_state = st
-    return st
-
-
 def affine_elt(datum: RootDatum, w: WeylElt, lam) -> AffineElt:
     lam = tuple(int(x) for x in lam)
-    st = _state(datum)
+    elts = datum._affine_state.elts
     key = (w.matrix, lam)
-    el = st.elts.get(key)
+    el = elts.get(key)
     if el is None:
-        el = AffineElt(datum, w, lam)
-        st.elts[key] = el
+        el = elts[key] = AffineElt(datum, w, lam)
     return el
 
 
@@ -140,8 +123,8 @@ def from_weyl(w: WeylElt) -> AffineElt:
 
 def simple_reflections(datum: RootDatum) -> tuple[SimpleReflection, ...]:
     """Finite simple generators followed by one affine generator per component."""
-    st = _state(datum)
-    if st.simples is None:
+    once = datum._affine_state.once
+    if "simples" not in once:
         out: list[SimpleReflection] = []
         by_vec = {r.vec: r for r in datum.positive_roots()}
         for i in range(datum.nsimples):
@@ -157,18 +140,17 @@ def simple_reflections(datum: RootDatum) -> tuple[SimpleReflection, ...]:
         for s in out:
             if s.elt.length != 1:
                 raise RuntimeError(f"generator {s.label} has length {s.elt.length}, not 1")
-        st.simples = tuple(out)
-    return st.simples
+        once["simples"] = tuple(out)
+    return once["simples"]
 
 
 def mul_simple(x: AffineElt, s: SimpleReflection) -> AffineElt:
     """Right multiplication x * s with per-datum caching."""
-    st = _state(x.datum)
+    table = x.datum._affine_state.mul_simple
     key = (x, s.label)
-    out = st.mul_simple.get(key)
+    out = table.get(key)
     if out is None:
-        out = x * s.elt
-        st.mul_simple[key] = out
+        out = table[key] = x * s.elt
     return out
 
 
@@ -178,8 +160,8 @@ def reduced_word(x: AffineElt) -> tuple[AffineElt, tuple[SimpleReflection, ...]]
     The word is chosen deterministically by scanning generators in label
     order for a descent at every step.
     """
-    st = _state(x.datum)
-    cached = st.reduced.get(x)
+    table = x.datum._affine_state.reduced
+    cached = table.get(x)
     if cached is not None:
         return cached
     simples = simple_reflections(x.datum)
@@ -195,15 +177,15 @@ def reduced_word(x: AffineElt) -> tuple[AffineElt, tuple[SimpleReflection, ...]]
             raise RuntimeError(f"no descent found at positive length for {cur!r}")
     letters.reverse()
     result = (cur, tuple(letters))
-    st.reduced[x] = result
+    table[x] = result
     return result
 
 
 def min_rep(datum: RootDatum, lam) -> AffineElt:
     """The unique shortest element of the coset W * t_lam."""
     lam = tuple(int(x) for x in lam)
-    st = _state(datum)
-    cached = st.min_reps.get(lam)
+    table = datum._affine_state.min_reps
+    cached = table.get(lam)
     if cached is not None:
         return cached
     candidates = [affine_elt(datum, u, lam) for u in datum.weyl_elements()]
@@ -211,7 +193,7 @@ def min_rep(datum: RootDatum, lam) -> AffineElt:
     ties = [e for e in candidates if e.length == best.length]
     if len(ties) != 1:
         raise RuntimeError(f"minimal coset representative for {lam} is not unique")
-    st.min_reps[lam] = best
+    table[lam] = best
     return best
 
 
@@ -232,9 +214,9 @@ def coset_decompose(x: AffineElt) -> tuple[WeylElt, Vec]:
 
 def omega_elements(datum: RootDatum) -> tuple[AffineElt, ...]:
     """All length-zero elements, when the fundamental group is finite."""
-    st = _state(datum)
-    if st.omegas is not None:
-        return st.omegas
+    once = datum._affine_state.once
+    if "omegas" in once:
+        return once["omegas"]
     n = datum.fundamental_group_order()
     if n is None:
         raise ValueError("the length-zero subgroup of this datum is infinite")
@@ -248,8 +230,8 @@ def omega_elements(datum: RootDatum) -> tuple[AffineElt, ...]:
             if el.length == 0:
                 found.add(el)
         bound += 1
-    st.omegas = tuple(sorted(found, key=lambda e: (e.lam, e.w.matrix)))
-    return st.omegas
+    out = once["omegas"] = tuple(sorted(found, key=lambda e: (e.lam, e.w.matrix)))
+    return out
 
 
 def length_box(datum: RootDatum, max_len: int):

@@ -24,6 +24,10 @@ T_{t_nu}^{-1} for any splitting lam = mu - nu into dominant weights; those
 two factors are ``theta_factors``.  Independence of the splitting is part of
 the verified relation battery, which multiplies by thetas in factored form
 and keeps ``hecke_mul`` as the general product the tests check it against.
+
+Per datum, ``datum._hecke_state`` memoises the inverses of basis symbols
+(``inv_T``, which also serves the bar of a basis symbol) and the thetas
+(``theta``).
 """
 
 from __future__ import annotations
@@ -34,22 +38,6 @@ from .affine import (AffineElt, SimpleReflection, affine_identity, from_weyl,
                      mul_simple, reduced_word, simple_reflections, translation)
 from .laurent import ONE, XI, Combination, LaurentPoly, add_into, v_power
 from .rootdata import RootDatum, pair, vec_add, vec_scale, vec_sub
-
-
-class _HeckeState:
-    def __init__(self):
-        self.inv_T: dict[AffineElt, "HeckeElt"] = {}
-        self.bar_T: dict[AffineElt, "HeckeElt"] = {}
-        self.theta: dict[tuple, "HeckeElt"] = {}
-        self.units_dominant: bool | None = None
-
-
-def _hstate(datum: RootDatum) -> _HeckeState:
-    st = getattr(datum, "_hecke_state", None)
-    if st is None:
-        st = _HeckeState()
-        datum._hecke_state = st
-    return st
 
 
 class HeckeElt(Combination):
@@ -156,23 +144,16 @@ def hecke_T(x: AffineElt) -> HeckeElt:
 
 def hecke_inv_T(x: AffineElt) -> HeckeElt:
     """The inverse of the basis symbol T_x."""
-    st = _hstate(x.datum)
-    cached = st.inv_T.get(x)
+    table = x.datum._hecke_state.inv_T
+    cached = table.get(x)
     if cached is None:
-        cached = hecke_mul_factors(HeckeElt.one(x.datum), ((x, -1),))
-        st.inv_T[x] = cached
+        cached = table[x] = hecke_mul_factors(HeckeElt.one(x.datum), ((x, -1),))
     return cached
 
 
 def hecke_bar_T(x: AffineElt) -> HeckeElt:
     """bar(T_x) = (T_{x^{-1}})^{-1}."""
-    st = _hstate(x.datum)
-    cached = st.bar_T.get(x)
-    if cached is not None:
-        return cached
-    out = hecke_inv_T(x.inverse())
-    st.bar_T[x] = out
-    return out
+    return hecke_inv_T(x.inverse())
 
 
 def hecke_bar(a: HeckeElt) -> HeckeElt:
@@ -188,12 +169,12 @@ def hecke_bar(a: HeckeElt) -> HeckeElt:
 
 def _dominant_split(datum: RootDatum, lam: tuple) -> tuple[tuple, tuple]:
     """Split lam = mu - nu with mu, nu dominant."""
-    st = _hstate(datum)
-    if st.units_dominant is None:
-        st.units_dominant = all(
+    once = datum._hecke_state.once
+    if "units_dominant" not in once:
+        once["units_dominant"] = all(
             datum.is_dominant(tuple(int(i == j) for j in range(datum.rank)))
             for i in range(datum.rank))
-    if st.units_dominant:
+    if once["units_dominant"]:
         mu = tuple(max(x, 0) for x in lam)
         nu = tuple(max(-x, 0) for x in lam)
         return mu, nu
@@ -224,11 +205,11 @@ def hecke_theta(datum: RootDatum, lam) -> HeckeElt:
     T_{t_mu} T_{t_nu}^{-1} for a dominant splitting, independent of choice.
     """
     lam = tuple(int(x) for x in lam)
-    st = _hstate(datum)
-    cached = st.theta.get(lam)
+    table = datum._hecke_state.theta
+    cached = table.get(lam)
     if cached is None:
-        cached = hecke_mul_factors(HeckeElt.one(datum), theta_factors(datum, lam))
-        st.theta[lam] = cached
+        cached = table[lam] = hecke_mul_factors(HeckeElt.one(datum),
+                                                theta_factors(datum, lam))
     return cached
 
 

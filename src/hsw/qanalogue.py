@@ -22,6 +22,11 @@ coefficients substitutes q = v^-2.
 The alternating sum runs through doubled weights (2 eta + 2 rho and
 friends) so that every intermediate stays in the integer lattice; the
 invariant form takes integer values on weights and root coordinates.
+
+Per datum, the tables of ``datum._q_state`` are ``kostant`` and ``partial``
+(the partition counter), ``orbits`` (the alternating sum), ``freud`` and
+``weights`` (the Freudenthal side); its ``once`` table holds the
+root-coordinate solver and the symmetrizer.
 """
 
 from __future__ import annotations
@@ -36,33 +41,14 @@ from .rootdata import (RootDatum, Vec, pair, vec_add, vec_neg, vec_scale,
 from .worklist import fill
 
 
-class _QState:
-    def __init__(self):
-        self.solver = None
-        self.kostant: dict[Vec, LaurentPoly] = {}
-        self.partial: dict[tuple, LaurentPoly] = {}
-        self.orbits: dict[Vec, tuple[tuple[int, Vec], ...]] = {}
-        self.symmetrizer: tuple[int, ...] | None = None
-        self.freud: dict[Vec, dict[tuple, int]] = {}
-        self.weights: dict[Vec, tuple[Vec, ...]] = {}
-
-
-def _qstate(datum: RootDatum) -> _QState:
-    st = getattr(datum, "_q_state", None)
-    if st is None:
-        st = _QState()
-        datum._q_state = st
-    return st
-
-
 # -- root-lattice coordinates -------------------------------------------------------
 
 
 def _solver(datum: RootDatum):
     """Pivot coordinates, determinant and adjugate for expanding vectors in
     simple roots: the coordinates are adj * vec[pivots] / det."""
-    st = _qstate(datum)
-    if st.solver is None:
+    once = datum._q_state.once
+    if "solver" not in once:
         rows = [[root[i] for root in datum.simple_roots] for i in range(datum.rank)]
         pivots: list[int] = []
         for i in range(datum.rank):
@@ -71,8 +57,8 @@ def _solver(datum: RootDatum):
                 if len(pivots) == datum.nsimples:
                     break
         det, adj = linalg.inverse([rows[i] for i in pivots])
-        st.solver = (tuple(pivots), det, adj)
-    return st.solver
+        once["solver"] = (tuple(pivots), det, adj)
+    return once["solver"]
 
 
 def root_coords_int(datum: RootDatum, vec) -> Vec | None:
@@ -103,7 +89,7 @@ def kostant_q(datum: RootDatum, beta) -> LaurentPoly:
     Values are memoised by the weight itself, zero ones included, so a
     repeated call solves no root coordinates.
     """
-    st = _qstate(datum)
+    st = datum._q_state
     beta = tuple(map(int, beta))
     cached = st.kostant.get(beta)
     if cached is not None:
@@ -114,18 +100,18 @@ def kostant_q(datum: RootDatum, beta) -> LaurentPoly:
     else:
         roots = sorted((r.root_coords for r in datum.positive_roots()),
                        key=lambda t: (-sum(t), t))
-        out = _kostant_rec(st, tuple(roots), 0, rc)
+        out = _kostant_rec(st.partial, tuple(roots), 0, rc)
     st.kostant[beta] = out
     return out
 
 
-def _kostant_rec(st: _QState, roots, i: int, rem: Vec) -> LaurentPoly:
+def _kostant_rec(partial: dict, roots, i: int, rem: Vec) -> LaurentPoly:
     if not any(rem):
         return ONE
     if i == len(roots):
         return ZERO
     key = (i, rem)
-    cached = st.partial.get(key)
+    cached = partial.get(key)
     if cached is not None:
         return cached
     rc = roots[i]
@@ -135,10 +121,10 @@ def _kostant_rec(st: _QState, roots, i: int, rem: Vec) -> LaurentPoly:
     for k in range(kmax + 1):
         if k:
             cur = tuple(a - b for a, b in zip(cur, rc))
-        for e, a in _kostant_rec(st, roots, i + 1, cur)._c.items():
+        for e, a in _kostant_rec(partial, roots, i + 1, cur)._c.items():
             acc[e + k] = acc.get(e + k, 0) + a
     total = LaurentPoly(acc)
-    st.partial[key] = total
+    partial[key] = total
     return total
 
 
@@ -148,12 +134,12 @@ def _kostant_rec(st: _QState, roots, i: int, rem: Vec) -> LaurentPoly:
 def _orbit(datum: RootDatum, eta: Vec) -> tuple[tuple[int, Vec], ...]:
     """The pairs (l(w) mod 2, w(2 eta + 2 rho)) over the Weyl group, built
     once per highest weight."""
-    st = _qstate(datum)
-    orbit = st.orbits.get(eta)
+    orbits = datum._q_state.orbits
+    orbit = orbits.get(eta)
     if orbit is None:
         top = vec_add(vec_scale(2, eta), datum.two_rho())
-        orbit = tuple((w.length % 2, w.act(top)) for w in datum.weyl_elements())
-        st.orbits[eta] = orbit
+        orbit = orbits[eta] = tuple((w.length % 2, w.act(top))
+                                    for w in datum.weyl_elements())
     return orbit
 
 
@@ -185,9 +171,9 @@ def lusztig_q(datum: RootDatum, chi, eta) -> LaurentPoly:
 
 def _symmetrizer(datum: RootDatum) -> tuple[int, ...]:
     """Minimal positive integers d_i with d_i a_ij = d_j a_ji."""
-    st = _qstate(datum)
-    if st.symmetrizer is not None:
-        return st.symmetrizer
+    once = datum._q_state.once
+    if "symmetrizer" in once:
+        return once["symmetrizer"]
     a = datum.cartan_matrix()
     n = datum.nsimples
     d: list[tuple[int, int] | None] = [None] * n   # d_i as (numerator, denominator)
@@ -210,8 +196,8 @@ def _symmetrizer(datum: RootDatum) -> tuple[int, ...]:
         for j in range(n):
             if ints[i] * a[i][j] != ints[j] * a[j][i]:
                 raise RuntimeError("symmetrizer failed; Cartan matrix not symmetrizable")
-    st.symmetrizer = tuple(ints)
-    return st.symmetrizer
+    out = once["symmetrizer"] = tuple(ints)
+    return out
 
 
 def _form(datum: RootDatum, x_coords, y) -> int:
@@ -249,8 +235,7 @@ def freudenthal_mult(datum: RootDatum, eta, chi) -> int:
     chi = tuple(int(x) for x in chi)
     if not datum.is_dominant(eta):
         raise ValueError(f"highest weight {eta} must be dominant")
-    st = _qstate(datum)
-    memo = st.freud.setdefault(eta, {eta: 1})
+    memo = datum._q_state.freud.setdefault(eta, {eta: 1})
     roots = datum.positive_roots()
     top = vec_add(eta, datum.two_rho())
 
@@ -306,8 +291,8 @@ def weights_of_irrep(datum: RootDatum, eta) -> tuple[Vec, ...]:
     eta = tuple(int(x) for x in eta)
     if not datum.is_dominant(eta):
         raise ValueError(f"highest weight {eta} must be dominant")
-    st = _qstate(datum)
-    cached = st.weights.get(eta)
+    table = datum._q_state.weights
+    cached = table.get(eta)
     if cached is not None:
         return cached
 
@@ -326,7 +311,7 @@ def weights_of_irrep(datum: RootDatum, eta) -> tuple[Vec, ...]:
                     seen.add(nxt)
                     queue.append(nxt)
     out = tuple(sorted(seen))
-    st.weights[eta] = out
+    table[eta] = out
     return out
 
 

@@ -122,7 +122,6 @@ class WeylElt:
 
     def descents(self) -> list[int]:
         """Simple indices i with l(w s_i) < l(w), i.e. w(alpha_i) negative."""
-        self.datum.positive_roots()
         neg = self.datum._negative_root_set
         return [i for i, r in enumerate(self.datum.simple_roots)
                 if mat_vec(self.matrix, r) in neg]
@@ -158,6 +157,20 @@ class WeylElt:
         return f"WeylElt({word or 'e'})"
 
 
+class Tables:
+    """Named memo tables: each attribute is a dict, created empty when it is
+    first read.  A datum holds one ``Tables`` per layer, and a value that a
+    layer computes once per datum goes into its ``once`` table, by name.
+    """
+
+    def __getattr__(self, name: str) -> dict:
+        if name.startswith("__"):
+            # copy and pickle look up optional hooks such as __deepcopy__
+            raise AttributeError(name)
+        table = self.__dict__[name] = {}
+        return table
+
+
 class RootDatum:
     """A finite-type root datum with torsion-free coweight quotient."""
 
@@ -177,9 +190,14 @@ class RootDatum:
         self.rank: int = ranks.pop()
         self.nsimples: int = len(self.simple_roots)
         self._weyl_intern: dict[Matrix, WeylElt] = {}
-        self._pos_roots: tuple[PosRoot, ...] | None = None
-        self._negative_root_set: frozenset[Vec] = frozenset()
-        self._weyl_list: tuple[WeylElt, ...] | None = None
+        self._once: dict[str, object] = {}   # values computed once, by name
+        # the memo tables of each layer, filled by that layer's module; the
+        # benchmark's tracer reads these attribute names and table names
+        self._affine_state = Tables()
+        self._hecke_state = Tables()
+        self._sph_state = Tables()
+        self._q_state = Tables()
+        self._mod_state = Tables()
         self._validate()
 
     # -- validation -------------------------------------------------------------
@@ -206,7 +224,8 @@ class RootDatum:
             raise ValueError("simple roots must be linearly independent")
         if linalg.rank(self.simple_coroots) != n:
             raise ValueError("simple coroots must be linearly independent")
-        self.positive_roots()  # raises when the closure does not terminate
+        self._pos_roots = self._root_closure()  # raises when it does not terminate
+        self._negative_root_set = frozenset(vec_neg(r.vec) for r in self._pos_roots)
         self._check_coweight_torsion()
 
     def _check_coweight_torsion(self) -> None:
@@ -227,8 +246,9 @@ class RootDatum:
     # -- roots -------------------------------------------------------------------
 
     def positive_roots(self) -> tuple[PosRoot, ...]:
-        if self._pos_roots is not None:
-            return self._pos_roots
+        return self._pos_roots
+
+    def _root_closure(self) -> tuple[PosRoot, ...]:
         n = self.nsimples
         unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         seen: dict[Vec, PosRoot] = {}
@@ -260,16 +280,16 @@ class RootDatum:
                     if len(seen) > _CLOSURE_CAP:
                         raise ValueError(
                             f"root closure exceeded {_CLOSURE_CAP} roots; not finite type")
-        self._pos_roots = tuple(sorted(seen.values(), key=lambda r: (r.height, r.root_coords)))
-        self._negative_root_set = frozenset(vec_neg(r.vec) for r in self._pos_roots)
-        return self._pos_roots
+        return tuple(sorted(seen.values(), key=lambda r: (r.height, r.root_coords)))
 
     def two_rho(self) -> Vec:
         """Sum of the positive roots."""
-        out = (0,) * self.rank
-        for r in self.positive_roots():
-            out = vec_add(out, r.vec)
-        return out
+        if "two_rho" not in self._once:
+            out = (0,) * self.rank
+            for r in self._pos_roots:
+                out = vec_add(out, r.vec)
+            self._once["two_rho"] = out
+        return self._once["two_rho"]
 
     # -- Weyl group ---------------------------------------------------------------
 
@@ -297,8 +317,8 @@ class RootDatum:
 
     def weyl_elements(self) -> tuple[WeylElt, ...]:
         """All Weyl elements in breadth-first order from the identity."""
-        if self._weyl_list is not None:
-            return self._weyl_list
+        if "weyl_elements" in self._once:
+            return self._once["weyl_elements"]
         simples = [self.simple_reflection(i) for i in range(self.nsimples)]
         order: list[WeylElt] = [self.weyl_identity()]
         seen = {order[0]}
@@ -311,15 +331,17 @@ class RootDatum:
                 if nxt not in seen:
                     seen.add(nxt)
                     order.append(nxt)
-        self._weyl_list = tuple(order)
-        return self._weyl_list
+        out = self._once["weyl_elements"] = tuple(order)
+        return out
 
     def longest_element(self) -> WeylElt:
-        best = max(self.weyl_elements(), key=lambda w: w.length)
-        top = [w for w in self.weyl_elements() if w.length == best.length]
-        if len(top) != 1:
-            raise RuntimeError("longest element is not unique; invalid datum")
-        return best
+        if "longest_element" not in self._once:
+            best = max(self.weyl_elements(), key=lambda w: w.length)
+            top = [w for w in self.weyl_elements() if w.length == best.length]
+            if len(top) != 1:
+                raise RuntimeError("longest element is not unique; invalid datum")
+            self._once["longest_element"] = best
+        return self._once["longest_element"]
 
     # -- dominance ------------------------------------------------------------------
 
@@ -374,10 +396,11 @@ class RootDatum:
 
     def fundamental_group_order(self) -> int | None:
         """Order of X modulo the root lattice, or None when infinite."""
-        if self.nsimples != self.rank:
-            return None
-        det = linalg.det([list(col) for col in zip(*self.simple_roots)])
-        return abs(det)
+        if "fundamental_group_order" not in self._once:
+            self._once["fundamental_group_order"] = (
+                abs(linalg.det([list(col) for col in zip(*self.simple_roots)]))
+                if self.nsimples == self.rank else None)
+        return self._once["fundamental_group_order"]
 
     # -- serialization ------------------------------------------------------------------
 

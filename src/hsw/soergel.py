@@ -13,8 +13,10 @@ Atoms are attached to length-zero elements (rank one twists), to finite
 wall crossings (rank two over the invariants of one reflection), and, in
 rank one, to the affine wall crossing.  Chains are built by tensoring atoms
 left to right.  Each atom and each chain is built, and validated, once per
-datum: a chain is the tensor of the longest prefix chain already held with
-one atom per remaining letter.  Graded Hom spaces between chains are
+datum, in the tables ``atoms``, ``twists`` and ``chains`` of
+``datum._mod_state`` (the invariants are in its ``once`` table): a chain is
+the tensor of the longest prefix chain already held with one atom per
+remaining letter.  Graded Hom spaces between chains are
 computed degree by degree by fraction-free integer elimination, and
 converted to a rank polynomial over the coordinate ring; coefficients
 beyond the reliable window raise instead of truncating silently.
@@ -34,27 +36,6 @@ from .rootdata import RootDatum
 
 class CutoffError(ValueError):
     """The requested computation needs a larger degree cutoff to be exact."""
-
-
-# -- per-datum state --------------------------------------------------------------------
-
-
-class _ModState:
-    """Per-datum tables of the module side; each entry is built once."""
-
-    def __init__(self):
-        self.invariants: tuple[MPoly, ...] | None = None
-        self.atoms: dict[str, "GradedCModule"] = {}            # letter label -> wall atom
-        self.twists: dict[AffineElt, "GradedCModule"] = {}     # x -> atom_E(x)
-        self.chains: dict[tuple, "GradedCModule"] = {}         # (omega, labels) -> chain
-
-
-def _mstate(datum: RootDatum) -> _ModState:
-    st = getattr(datum, "_mod_state", None)
-    if st is None:
-        st = _ModState()
-        datum._mod_state = st
-    return st
 
 
 # -- fundamental invariants ------------------------------------------------------------
@@ -78,9 +59,9 @@ def fundamental_invariants(datum: RootDatum) -> tuple[MPoly, ...]:
     the rank and the degree product equals the Weyl group order; both are
     asserted.
     """
-    st = _mstate(datum)
-    if st.invariants is not None:
-        return st.invariants
+    once = datum._mod_state.once
+    if "invariants" in once:
+        return once["invariants"]
     n = datum.rank
     subs = _dual_substitutions(datum)
     found: list[MPoly] = []
@@ -136,8 +117,7 @@ def fundamental_invariants(datum: RootDatum) -> tuple[MPoly, ...]:
         for sub in subs:
             if p.substitute_linear(sub) != p:
                 raise RuntimeError("claimed invariant is not invariant")
-    out = tuple(sorted(found, key=lambda p: (p.total_degree(), str(p))))
-    st.invariants = out
+    out = once["invariants"] = tuple(sorted(found, key=lambda p: (p.total_degree(), str(p))))
     return out
 
 
@@ -227,7 +207,7 @@ class GradedCModule:
 
     __slots__ = ("datum", "gens", "theta", "left", "_mono_cache")
 
-    def __init__(self, datum: RootDatum, gens, theta, left, check: bool = True):
+    def __init__(self, datum: RootDatum, gens, theta, left):
         self.datum = datum
         self.gens = tuple(int(g) for g in gens)
         self.theta = tuple(_pm(m) for m in theta)
@@ -235,8 +215,7 @@ class GradedCModule:
         # monomial matrices asked for by tensor (with the lower powers they
         # were built from); _validate keeps its own table
         self._mono_cache: dict[tuple, PolyMatrix] = {}
-        if check:
-            self._validate()
+        self._validate()
 
     @property
     def nvars(self) -> int:
@@ -358,7 +337,7 @@ def atom_E(datum: RootDatum, x: AffineElt) -> GradedCModule:
     translation part; the left table twists coordinates by the finite part.
     Built once per (datum, x).
     """
-    twists = _mstate(datum).twists
+    twists = datum._mod_state.twists
     got = twists.get(x)
     if got is not None:
         return got
@@ -474,7 +453,7 @@ def atom_D_affine(datum: RootDatum, s: SimpleReflection) -> GradedCModule:
 
 def atom_for(datum: RootDatum, s: SimpleReflection) -> GradedCModule:
     """The wall atom of a letter, built once per (datum, letter)."""
-    atoms = _mstate(datum).atoms
+    atoms = datum._mod_state.atoms
     got = atoms.get(s.label)
     if got is None:
         got = atom_D_finite(datum, s) if s.kind == "finite" else atom_D_affine(datum, s)
@@ -546,7 +525,7 @@ def bs_module(datum: RootDatum, omega: AffineElt, word) -> GradedCModule:
     """
     if omega.length != 0:
         raise ValueError("the twist in front of a chain must have length zero")
-    chains = _mstate(datum).chains
+    chains = datum._mod_state.chains
     labels = tuple(s.label for s in word)
     k = len(labels)
     while k and (omega, labels[:k]) not in chains:

@@ -18,6 +18,10 @@ off-top coefficient lies in v^-1 Z[v^-1].  Shorter elements come from an
 explicit stack (``hsw.worklist``), not from Python recursion.  The former
 algorithm, which starts from the whole chain of C_s factors, is kept as
 ``canonical_basis_reference``, the oracle of the ``canonical`` check.
+
+Per datum, ``datum._sph_state`` memoises coset decompositions (``coset``),
+the action of C_s on a basis symbol (``act_simple``), the bar of a basis
+symbol (``bar_basis``) and the canonical elements (``canonical``).
 """
 
 from __future__ import annotations
@@ -26,41 +30,23 @@ from functools import partial
 
 from .affine import AffineElt, SimpleReflection, min_rep, mul_simple, reduced_word
 from .hecke import HeckeElt, hecke_T, hecke_bar_T, hecke_mul
-from .laurent import ONE, XI, ZERO, Combination, LaurentPoly, add_into, v_power
+from .laurent import ONE, V_INV, XI, ZERO, Combination, LaurentPoly, add_into, v_power
 from .rootdata import RootDatum, Vec
 from .worklist import fill
-
-_VINV = v_power(-1)
-
-
-class _SphState:
-    def __init__(self):
-        self.act_simple: dict[tuple, dict] = {}
-        self.bar_basis: dict[Vec, "SphElt"] = {}
-        self.canonical: dict[Vec, "SphElt"] = {}
-        self.coset: dict[AffineElt, tuple[int, Vec]] = {}
-
-
-def _sstate(datum: RootDatum) -> _SphState:
-    st = getattr(datum, "_sph_state", None)
-    if st is None:
-        st = _SphState()
-        datum._sph_state = st
-    return st
 
 
 def _coset(x: AffineElt) -> tuple[int, Vec]:
     """(l(u), lam) for the decomposition x = u * m_lam."""
-    st = _sstate(x.datum)
-    cached = st.coset.get(x)
+    table = x.datum._sph_state.coset
+    cached = table.get(x)
     if cached is not None:
         return cached
     m = min_rep(x.datum, x.lam)
     ulen = x.length - m.length
     if ulen < 0:
         raise RuntimeError("coset decomposition violated length additivity")
-    st.coset[x] = (ulen, x.lam)
-    return st.coset[x]
+    cached = table[x] = (ulen, x.lam)
+    return cached
 
 
 class SphElt(Combination):
@@ -117,11 +103,11 @@ def sph_act(m: SphElt, h: HeckeElt) -> SphElt:
 def _act_cs(m: SphElt, s: SimpleReflection) -> SphElt:
     """Act by C_s = T_s + v^-1, with the basis action cached per weight."""
     datum = m.datum
-    st = _sstate(datum)
+    table = datum._sph_state.act_simple
     acc: dict[Vec, LaurentPoly] = {}
     for lam, c in m._m.items():
         key = (lam, s.label)
-        cached = st.act_simple.get(key)
+        cached = table.get(key)
         if cached is None:
             w = min_rep(datum, lam)
             ws = mul_simple(w, s)
@@ -129,8 +115,8 @@ def _act_cs(m: SphElt, s: SimpleReflection) -> SphElt:
             cached = {mu: v_power(ulen)}
             if ws.length < w.length:
                 add_into(cached, ((lam, XI),))
-            st.act_simple[key] = cached
-        add_into(acc, (*cached.items(), (lam, _VINV)), c)
+            table[key] = cached
+        add_into(acc, (*cached.items(), (lam, V_INV)), c)
     return SphElt(datum, acc)
 
 
@@ -149,7 +135,7 @@ def fl_bs_char(datum: RootDatum, word) -> HeckeElt:
     one = HeckeElt.one(datum)
     out = one
     for s in word:
-        cs = hecke_T(s.elt) + one.scale(_VINV)
+        cs = hecke_T(s.elt) + one.scale(V_INV)
         out = hecke_mul(out, cs)
     return out
 
@@ -173,11 +159,10 @@ def hom_rank(datum: RootDatum, left: tuple, right: tuple) -> LaurentPoly:
 
 
 def _bar_basis(datum: RootDatum, lam: Vec) -> SphElt:
-    st = _sstate(datum)
-    cached = st.bar_basis.get(lam)
+    table = datum._sph_state.bar_basis
+    cached = table.get(lam)
     if cached is None:
-        cached = sph_project(hecke_bar_T(min_rep(datum, lam)))
-        st.bar_basis[lam] = cached
+        cached = table[lam] = sph_project(hecke_bar_T(min_rep(datum, lam)))
     return cached
 
 
@@ -202,7 +187,7 @@ def canonical_basis(datum: RootDatum, lam) -> SphElt:
     an explicit stack, each entry shorter than the one beneath it, so the
     answer does not depend on the recursion limit.
     """
-    return fill(_sstate(datum).canonical, tuple(int(x) for x in lam),
+    return fill(datum._sph_state.canonical, tuple(int(x) for x in lam),
                 partial(_prefix_steps, datum))
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hsw.affine import omega_elements
 from hsw.rootdata import (RootDatum, datum_from_file, datum_from_json,
                           datum_preset, load_datum)
 
@@ -53,6 +54,23 @@ def test_two_rho(a2):
     for r in a2.positive_roots():
         total = [x + y for x, y in zip(total, r.vec)]
     assert tuple(total) == a2.two_rho()
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A1xA1", "GL3"])
+def test_values_kept_per_datum(name):
+    d = datum_preset(name)
+    two_rho, w0, order = d.two_rho(), d.longest_element(), d.fundamental_group_order()
+    assert d.two_rho() is two_rho
+    assert d.longest_element() is w0
+    assert d.fundamental_group_order() is order
+    assert d.weyl_elements() is d.weyl_elements()
+    assert two_rho == tuple(map(sum, zip(*(r.vec for r in d.positive_roots()))))
+    assert w0.length == len(d.positive_roots())
+    assert [w for w in d.weyl_elements() if w.length == w0.length] == [w0]
+    if order is None:
+        assert d.nsimples < d.rank
+    else:
+        assert order == len(omega_elements(d))
 
 
 def test_highest_dual_root(a2, b2, g2):
