@@ -158,17 +158,15 @@ class WeylElt:
 
 
 class Tables:
-    """Named memo tables: each attribute is a dict, created empty when it is
-    first read.  A datum holds one ``Tables`` per layer, and a value that a
-    layer computes once per datum goes into its ``once`` table, by name.
+    """Named memo tables of one layer of a datum: one dict per name given,
+    made empty here.  A value that the layer computes once per datum goes
+    into its ``once`` table, by name.  Any other name raises
+    ``AttributeError``, so a misspelt table is an error, not a second table.
     """
 
-    def __getattr__(self, name: str) -> dict:
-        if name.startswith("__"):
-            # copy and pickle look up optional hooks such as __deepcopy__
-            raise AttributeError(name)
-        table = self.__dict__[name] = {}
-        return table
+    def __init__(self, *names: str):
+        for name in names:
+            setattr(self, name, {})
 
 
 class RootDatum:
@@ -193,11 +191,11 @@ class RootDatum:
         self._once: dict[str, object] = {}   # values computed once, by name
         # the memo tables of each layer, filled by that layer's module; the
         # benchmark's tracer reads these attribute names and table names
-        self._affine_state = Tables()
-        self._hecke_state = Tables()
-        self._sph_state = Tables()
-        self._q_state = Tables()
-        self._mod_state = Tables()
+        self._affine_state = Tables("elts", "mul_simple", "reduced", "min_reps", "once")
+        self._hecke_state = Tables("inv_T", "theta", "once")
+        self._sph_state = Tables("coset", "act_simple", "bar_basis", "canonical")
+        self._q_state = Tables("kostant", "partial", "orbits", "freud", "weights", "once")
+        self._mod_state = Tables("twists", "atoms", "chains", "once")
         self._validate()
 
     # -- validation -------------------------------------------------------------
@@ -335,13 +333,11 @@ class RootDatum:
         return out
 
     def longest_element(self) -> WeylElt:
-        if "longest_element" not in self._once:
-            best = max(self.weyl_elements(), key=lambda w: w.length)
-            top = [w for w in self.weyl_elements() if w.length == best.length]
-            if len(top) != 1:
-                raise RuntimeError("longest element is not unique; invalid datum")
-            self._once["longest_element"] = best
-        return self._once["longest_element"]
+        best = max(self.weyl_elements(), key=lambda w: w.length)
+        top = [w for w in self.weyl_elements() if w.length == best.length]
+        if len(top) != 1:
+            raise RuntimeError("longest element is not unique; invalid datum")
+        return best
 
     # -- dominance ------------------------------------------------------------------
 
@@ -396,11 +392,10 @@ class RootDatum:
 
     def fundamental_group_order(self) -> int | None:
         """Order of X modulo the root lattice, or None when infinite."""
-        if "fundamental_group_order" not in self._once:
-            self._once["fundamental_group_order"] = (
-                abs(linalg.det([list(col) for col in zip(*self.simple_roots)]))
-                if self.nsimples == self.rank else None)
-        return self._once["fundamental_group_order"]
+        if self.nsimples != self.rank:
+            return None
+        det = linalg.det([list(col) for col in zip(*self.simple_roots)])
+        return abs(det)
 
     # -- serialization ------------------------------------------------------------------
 

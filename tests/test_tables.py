@@ -1,5 +1,5 @@
 """The per-datum memo tables: the names the benchmark's tracer reads, and
-copying or pickling a datum whose tables are filled."""
+copying or pickling a datum whose tables are filled, and a misspelt table."""
 
 import copy
 import importlib.util
@@ -69,3 +69,12 @@ def test_copy_and_pickle_keep_the_tables(clone):
         assert canonical_basis(twin, lam) == canonical_basis(datum, lam), lam
         assert canonical_basis(twin, lam).datum is twin
     assert hecke_theta(twin, (1, 1)).to_json() == hecke_theta(datum, (1, 1)).to_json()
+
+
+def test_misspelt_table_is_an_error():
+    # each layer declares its tables; any other name is not a new, empty table
+    datum = datum_preset("A1")
+    assert type(datum._affine_state.elts) is dict
+    for state, name in (("_affine_state", "elt"), ("_sph_state", "once"), ("_q_state", "orbit")):
+        with pytest.raises(AttributeError):
+            getattr(getattr(datum, state), name)
