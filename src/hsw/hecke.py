@@ -3,17 +3,21 @@
 Elements are finite sums of basis symbols T_x over extended affine Weyl
 group elements x, with Laurent coefficients; ``HeckeElt`` adds the basis
 order, the labels and the product to the sparse-combination core of
-``hsw.laurent``, and every sum here accumulates through its ``add_into``.
-Right multiplication by a generator follows
+``hsw.laurent``, and sums of elements accumulate through its ``add_into``.
+Right multiplication by a generator s pairs each y with ys.  Write lo for
+the shorter of the two and hi for the longer; then
 
-    T_y T_s = T_{ys}                      when l(ys) > l(y)
-    T_y T_s = T_{ys} + (v - v^-1) T_y     when l(ys) < l(y)
+    T_lo T_s = T_hi
+    T_hi T_s = T_lo + (v - v^-1) T_hi
 
-and T_y T_om = T_{y om} for length-zero om.  Its inverse is the same pass
-with the sign of the extra term flipped (``_rmul_simple`` takes the sign):
+and T_y T_om = T_{y om} for length-zero om.  The inverse mirrors this:
 
-    T_y T_s^-1 = T_{ys}                   when l(ys) < l(y)
-    T_y T_s^-1 = T_{ys} - (v - v^-1) T_y  when l(ys) > l(y)
+    T_hi T_s^-1 = T_lo
+    T_lo T_s^-1 = T_hi - (v - v^-1) T_lo
+
+``_rmul_simple`` takes the sign and handles each pair once, so every output
+coefficient is written once, as c or as c' +- (v - v^-1) c (``add_xi``),
+and nothing accumulates.
 
 General products (``hecke_mul``) expand the right operand in the standard
 basis and factor each of its terms through a reduced word.  An operand that
@@ -36,7 +40,7 @@ import itertools
 
 from .affine import (AffineElt, SimpleReflection, affine_identity, from_weyl,
                      mul_simple, reduced_word, simple_reflections, translation)
-from .laurent import ONE, XI, Combination, LaurentPoly, add_into, v_power
+from .laurent import ONE, ZERO, Combination, LaurentPoly, add_into, add_xi, v_power
 from .rootdata import RootDatum, pair, vec_add, vec_scale, vec_sub
 
 
@@ -72,23 +76,22 @@ class HeckeElt(Combination):
 
 # -- core multiplication ------------------------------------------------------------
 
-_SIGNED_XI = {1: XI, -1: -XI}
-
-
 def _rmul_simple(m: dict, s: SimpleReflection, sign: int = 1) -> dict:
-    """m * T_s for sign 1 and m * T_s^-1 for sign -1, in one pass: the extra
-    term +-(v - v^-1) T_y appears when ys is shorter (T_s) or longer (T_s^-1)."""
-    xi = _SIGNED_XI[sign]
-
-    def terms():
-        for y, c in m.items():
-            ys = mul_simple(y, s)
-            yield ys, c
-            if ys.length - y.length == -sign:
-                yield y, c * xi
-
+    """m * T_s for sign 1 and m * T_s^-1 for sign -1, one pair {y, ys} at a
+    time.  Call y the member whose ys is shorter (T_s) or longer (T_s^-1):
+    the pair's output is ys with coefficient c_y, and y with c_ys + sign *
+    (v - v^-1) * c_y.  Distinct pairs share no key, so each output key gets
+    its one value with no accumulation."""
     out: dict[AffineElt, LaurentPoly] = {}
-    add_into(out, terms())
+    for y, c in m.items():
+        ys = mul_simple(y, s)
+        if ys.length - y.length == -sign:
+            out[ys] = c
+            top = add_xi(m.get(ys, ZERO), c, sign)
+            if top:
+                out[y] = top
+        elif ys not in m:
+            out[ys] = c  # else the pair is written when ys comes round
     return out
 
 

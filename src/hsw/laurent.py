@@ -9,8 +9,10 @@ equality of values is equality of the underlying sparse maps.
 
 ``Combination`` is the sparse-combination core of the Hecke algebra's
 standard basis and of the spherical module: a map from basis keys to nonzero
-Laurent coefficients with its linear structure.  Every sum of terms goes
-through ``add_into``, which drops a key whose coefficient cancels.
+Laurent coefficients with its linear structure.  Sums of terms go through
+``add_into``, which drops a key whose coefficient cancels.  ``add_xi`` forms
+a + sign * (v - v^-1) * b in one pass, for the Hecke algebra's step
+T_y T_s^{+-1}.
 """
 
 from __future__ import annotations
@@ -265,6 +267,32 @@ XI = LaurentPoly({1: 1, -1: -1})  # v - v^-1
 
 def v_power(k: int) -> LaurentPoly:
     return LaurentPoly({k: 1})
+
+
+def add_xi(a: LaurentPoly, b: LaurentPoly, sign: int = 1) -> LaurentPoly:
+    """a + sign * (v - v^-1) * b, in one pass: each term of b is shifted one
+    degree up and one down into a copy of a, with no product formed.
+
+    >>> print(add_xi(V, ONE, -1))
+    v^-1
+    """
+    c = dict(a._c)
+    for e, x in b._c.items():
+        x *= sign
+        s = c.get(e + 1, 0) + x
+        if s:
+            c[e + 1] = s
+        else:
+            del c[e + 1]
+        s = c.get(e - 1, 0) - x
+        if s:
+            c[e - 1] = s
+        else:
+            del c[e - 1]
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._c = c
+    out._hash = None
+    return out
 
 
 # -- sparse combinations ------------------------------------------------------------

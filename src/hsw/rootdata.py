@@ -189,13 +189,15 @@ class RootDatum:
         self.nsimples: int = len(self.simple_roots)
         self._weyl_intern: dict[Matrix, WeylElt] = {}
         self._once: dict[str, object] = {}   # values computed once, by name
-        # the memo tables of each layer, filled by that layer's module; the
-        # benchmark's tracer reads these attribute names and table names
+        # the memo tables of each layer, filled by that layer's module (the
+        # module layer's ``validated`` holds the module contents that passed
+        # validation); the benchmark's tracer reads these attribute names and
+        # table names
         self._affine_state = Tables("elts", "mul_simple", "reduced", "min_reps", "once")
         self._hecke_state = Tables("inv_T", "theta", "once")
         self._sph_state = Tables("coset", "act_simple", "bar_basis", "canonical")
         self._q_state = Tables("kostant", "partial", "orbits", "freud", "weights", "once")
-        self._mod_state = Tables("twists", "atoms", "chains", "once")
+        self._mod_state = Tables("twists", "atoms", "chains", "validated", "once")
         self._validate()
 
     # -- validation -------------------------------------------------------------

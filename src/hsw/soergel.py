@@ -12,14 +12,16 @@ coordinate sits in graded degree 2), equipped with
 Atoms are attached to length-zero elements (rank one twists), to finite
 wall crossings (rank two over the invariants of one reflection), and, in
 rank one, to the affine wall crossing.  Chains are built by tensoring atoms
-left to right.  Each atom and each chain is built, and validated, once per
-datum, in the tables ``atoms``, ``twists`` and ``chains`` of
-``datum._mod_state`` (the invariants are in its ``once`` table): a chain is
-the tensor of the longest prefix chain already held with one atom per
-remaining letter.  Graded Hom spaces between chains are
-computed degree by degree by fraction-free integer elimination, and
-converted to a rank polynomial over the coordinate ring; coefficients
-beyond the reliable window raise instead of truncating silently.
+left to right.  Each atom and each chain is built once per datum, in the
+tables ``atoms``, ``twists`` and ``chains`` of ``datum._mod_state`` (the
+invariants are in its ``once`` table): a chain is the tensor of the longest
+prefix chain already held with one atom per remaining letter.  Each distinct
+module is validated once per datum: the table ``validated`` holds the
+contents (generator degrees, wall operators, left tables) that passed.
+Graded Hom spaces between chains are computed degree by degree by
+fraction-free integer elimination, and converted to a rank polynomial over
+the coordinate ring; coefficients beyond the reliable window raise instead
+of truncating silently.
 """
 
 from __future__ import annotations
@@ -215,7 +217,13 @@ class GradedCModule:
         # monomial matrices asked for by tensor (with the lower powers they
         # were built from); _validate keeps its own table
         self._mono_cache: dict[tuple, PolyMatrix] = {}
-        self._validate()
+        # the verdict depends only on these tables and the datum, so content
+        # equal to a module already validated on this datum is not checked again
+        validated = datum._mod_state.validated
+        key = (self.gens, self.theta, self.left)
+        if key not in validated:
+            self._validate()
+            validated[key] = True
 
     @property
     def nvars(self) -> int:
@@ -444,7 +452,6 @@ def atom_D_affine(datum: RootDatum, s: SimpleReflection) -> GradedCModule:
                      [MPoly.const(n, b), u * (-b)]])
     invs = fundamental_invariants(datum)
     theta = [theta_mat for _ in invs]
-    delta = u
     q_form = u * u
     left = [_pm([[MPoly.zero(n), q_form],
                  [MPoly.const(n, 1), MPoly.zero(n)]])]

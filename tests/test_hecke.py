@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from hsw.affine import (affine_identity, min_rep, omega_elements,
+from hsw.affine import (affine_identity, min_rep, mul_simple, omega_elements,
                         reduced_word, simple_reflections, translation)
-from hsw.hecke import (HeckeElt, _dominant_split, hecke_bar, hecke_bar_T, hecke_inv_T,
-                       hecke_mul, hecke_mul_factors, hecke_T, hecke_theta,
+from hsw.hecke import (HeckeElt, _dominant_split, _rmul_simple, hecke_bar, hecke_bar_T,
+                       hecke_inv_T, hecke_mul, hecke_mul_factors, hecke_T, hecke_theta,
                        verify_bernstein, verify_quadratic_affine,
                        verify_quadratic_all)
-from hsw.laurent import ONE, ZERO, LaurentPoly, v_power
+from hsw.laurent import ONE, XI, ZERO, LaurentPoly, v_power
 from hsw.rootdata import datum_preset
 
 
@@ -62,6 +62,48 @@ def inverse_by_word(x):
     for s in reversed(word):
         out = hecke_mul(out, hecke_T(s.elt) - one.scale(v_power(1) - v_power(-1)))
     return hecke_mul(out, hecke_T(om.inverse()))
+
+
+def _rmul_simple_termwise(m, s, sign):
+    """m * T_s^sign by the rule for one term, summed term by term."""
+    out = {}
+
+    def add(key, c):
+        total = out.get(key, ZERO) + c
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
+
+    for y, c in m.items():
+        ys = mul_simple(y, s)
+        add(ys, c)
+        if (ys.length < y.length) == (sign == 1):
+            add(y, c * XI * sign)
+    return out
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "GL3"])
+def test_rmul_simple_matches_termwise_expansion(name):
+    datum = datum_preset(name)
+    rng = random.Random(2718)
+    gens = simple_reflections(datum)
+    for _ in range(25):
+        m = {}
+        for _ in range(rng.randrange(1, 6)):
+            m[rand_elt(datum, rng)] = LaurentPoly(
+                {rng.randrange(-3, 4): rng.choice((-2, -1, 1, 3)) for _ in range(2)}) or ONE
+        s = rng.choice(gens)
+        # hold both members of a pair {y, ys}
+        y = rng.choice(list(m))
+        m[mul_simple(y, s)] = rng.choice((ONE, -XI, XI + v_power(2)))
+        for sign in (1, -1):
+            assert _rmul_simple(m, s, sign) == _rmul_simple_termwise(m, s, sign)
+    # a coefficient that cancels, for each sign: s is hi, e is lo
+    s = gens[0]
+    lo, hi = affine_identity(datum), s.elt
+    assert _rmul_simple({lo: -XI, hi: ONE}, s) == {lo: ONE}
+    assert _rmul_simple({lo: ONE, hi: XI}, s, -1) == {hi: ONE}
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "GL3"])

@@ -5,7 +5,8 @@ import pytest
 
 from hsw.affine import simple_reflections
 from hsw.hecke import HeckeElt, hecke_T, hecke_theta
-from hsw.laurent import ONE, V, V_INV, ZERO, LaurentPoly, add_into, v_power
+from hsw.laurent import (ONE, V, V_INV, XI, ZERO, LaurentPoly, add_into, add_xi,
+                         v_power)
 from hsw.rootdata import datum_preset
 from hsw.spherical import SphElt, canonical_basis
 
@@ -42,6 +43,22 @@ def test_ring_axioms_random():
         assert f - f == ZERO
         assert f * ONE == f
         assert f * ZERO == ZERO
+
+
+def test_add_xi_matches_product():
+    rng = random.Random(4711)
+    for _ in range(300):
+        a, b = rand_poly(rng), rand_poly(rng)
+        for sign in (1, -1):
+            got = add_xi(a, b, sign)
+            assert got == a + sign * XI * b
+            assert 0 not in got._c.values()
+    # the result cancels to zero, and a is not changed in place
+    a = -XI * (V + 1)
+    assert not add_xi(a, V + 1)._c
+    assert a == -XI * (V + 1)
+    assert add_xi(XI, ONE, -1) == ZERO
+    assert add_xi(V, ZERO, -1) == V and add_xi(ZERO, ONE, -1) == -XI
 
 
 def test_pow():

@@ -288,6 +288,42 @@ def test_chain_extends_longest_held_prefix(monkeypatch):
     assert len(calls) == 4
 
 
+def test_equal_content_is_validated_once(monkeypatch):
+    datum = datum_preset("A2")   # a fresh datum with empty tables
+    e = affine_identity(datum)
+    s1, s2, _ = simple_reflections(datum)
+    m = bs_module(datum, e, (s1, s2))
+    a, b = atom_for(datum, s1), atom_for(datum, s2)
+    ab = tensor(a, b)
+    ba = tensor(b, a)
+    aba = tensor(ab, a)
+    validated = []
+    real = GradedCModule._validate
+
+    def counting(self):
+        validated.append(self)
+        real(self)
+
+    monkeypatch.setattr(GradedCModule, "_validate", counting)
+    # the unit on the left, and the right side of an associativity triple
+    again = tensor(atom_E(datum, e), m)
+    assert again is not m and modules_equal(again, m)
+    right = tensor(a, ba)
+    assert modules_equal(right, aba)
+    assert validated == []
+    # a copy with one tampered entry is validated in full, every time
+    left = [[list(row) for row in mat] for mat in m.left]
+    left[0][0][0] = left[0][0][0] + MPoly.var(2, 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="do not commute"):
+            GradedCModule(datum, m.gens, m.theta, left)
+    assert len(validated) == 2
+    # so is new content, once
+    tensor(aba, b)
+    tensor(aba, b)
+    assert len(validated) == 3
+
+
 # -- every branch of the constructor's validation -----------------------------------------
 
 

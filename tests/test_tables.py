@@ -69,6 +69,10 @@ def test_copy_and_pickle_keep_the_tables(clone):
         assert canonical_basis(twin, lam) == canonical_basis(datum, lam), lam
         assert canonical_basis(twin, lam).datum is twin
     assert hecke_theta(twin, (1, 1)).to_json() == hecke_theta(datum, (1, 1)).to_json()
+    held = datum._mod_state.validated
+    assert held and twin._mod_state.validated.keys() == held.keys()
+    m, n = (bs_module(d, min_rep(d, (0, 0)), simple_reflections(d)[:2] * 2) for d in (datum, twin))
+    assert (m.gens, m.theta, m.left) == (n.gens, n.theta, n.left)
 
 
 def test_misspelt_table_is_an_error():
