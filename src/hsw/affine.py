@@ -3,15 +3,20 @@
 Elements are pairs w * t_lam with w in the finite Weyl group and t_lam the
 translation by a weight lam.  Multiplication follows
 (w1 t_a)(w2 t_b) = (w1 w2) t_{w2^{-1}(a) + b}.  Lengths come from the closed
-pairing formula over positive roots, so no Coxeter presentation is needed to
-measure an element.  The length-zero subgroup (isomorphic to the weight
+formula l(w t_lam) = sum over positive roots a of |<lam, a-check> + [w(a) < 0]|,
+which reads the pairings of lam and the inversion set of w (held once per
+Weyl element), so no Coxeter presentation is needed to measure an element.
+The shortest element of a coset W t_lam comes from the chamber walk of lam,
+with no search over W.  The length-zero subgroup (isomorphic to the weight
 lattice modulo the root lattice) is handled lazily and never enumerated
 unless it is finite.
 
 Per datum, the tables of ``datum._affine_state`` intern the elements
-(``elts``) and memoise generator products (``mul_simple``), reduced words
-(``reduced``) and coset representatives (``min_reps``); its ``once`` table
-holds the generators and the length-zero elements.
+(``elts``, one object per pair (w, lam), hashed by its serial there, so no two
+elements of a datum share a hash) and memoise generator products
+(``mul_simple``), reduced words (``reduced``) and coset representatives
+(``min_reps``); its ``once`` table holds the generators and the length-zero
+elements.
 """
 
 from __future__ import annotations
@@ -19,21 +24,26 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .rootdata import (PosRoot, RootDatum, Vec, WeylElt, mat_vec, pair,
-                       vec_add, vec_neg)
+from .rootdata import PosRoot, RootDatum, Vec, WeylElt, mat_vec, vec_add, vec_neg
+
+
+def _length(w: WeylElt, lam: Vec) -> int:
+    """l(w t_lam), summed over the positive roots a as
+    |<lam, a-check> + 1| if w(a) < 0 and |<lam, a-check>| otherwise."""
+    return sum(abs(p + f) for p, f in zip(mat_vec(w.datum._pos_coroots, lam), w.inversions))
 
 
 class AffineElt:
     """An element w * t_lam of the extended affine Weyl group."""
 
-    __slots__ = ("datum", "w", "lam", "_len", "_hash")
+    __slots__ = ("datum", "w", "lam", "_len", "_serial")
 
-    def __init__(self, datum: RootDatum, w: WeylElt, lam: Vec):
+    def __init__(self, datum: RootDatum, w: WeylElt, lam: Vec, serial: int):
         self.datum = datum
         self.w = w
         self.lam = lam
         self._len: int | None = None
-        self._hash: int | None = None
+        self._serial = serial
 
     def __mul__(self, other: "AffineElt") -> "AffineElt":
         lam = vec_add(other.w.inverse().act(self.lam), other.lam)
@@ -45,17 +55,7 @@ class AffineElt:
     @property
     def length(self) -> int:
         if self._len is None:
-            datum = self.datum
-            roots = datum.positive_roots()
-            neg = datum._negative_root_set
-            total = 0
-            for r in roots:
-                p = pair(self.lam, r.cov)
-                if mat_vec(self.w.matrix, r.vec) in neg:
-                    total += abs(1 + p)
-                else:
-                    total += abs(p)
-            self._len = total
+            self._len = _length(self.w, self.lam)
         return self._len
 
     def is_identity(self) -> bool:
@@ -67,9 +67,7 @@ class AffineElt:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.w.matrix, self.lam))
-        return self._hash
+        return self._serial
 
     def __repr__(self) -> str:
         wpart = ".".join(f"s{i + 1}" for i in self.w.reduced_word()) or "e"
@@ -102,10 +100,10 @@ class SimpleReflection:
 def affine_elt(datum: RootDatum, w: WeylElt, lam) -> AffineElt:
     lam = tuple(int(x) for x in lam)
     elts = datum._affine_state.elts
-    key = (w.matrix, lam)
+    key = (w, lam)
     el = elts.get(key)
     if el is None:
-        el = elts[key] = AffineElt(datum, w, lam)
+        el = elts[key] = AffineElt(datum, w, lam, len(elts))
     return el
 
 
@@ -182,17 +180,30 @@ def reduced_word(x: AffineElt) -> tuple[AffineElt, tuple[SimpleReflection, ...]]
 
 
 def min_rep(datum: RootDatum, lam) -> AffineElt:
-    """The unique shortest element of the coset W * t_lam."""
+    """The unique shortest element of the coset W * t_lam.
+
+    The chamber walk writes lam = u(lam_dom) with u = s_i1 ... s_ik shortest,
+    and u^-1 = s_ik ... s_i1 is read off its word backwards.  Then u^-1 t_lam
+    has inversion set {a > 0 : <lam, a-check> < 0}, so the length formula
+    counts |p + 1| = |p| - 1 at each positive root whose pairing p with lam is
+    negative and |p| at every other one, the least possible term by term.
+    The result is checked to have no finite left descent (l(s_i m) > l(m) for
+    every finite s_i), which holds for the shortest element of W m and for no
+    other.
+    """
     lam = tuple(int(x) for x in lam)
     table = datum._affine_state.min_reps
     cached = table.get(lam)
     if cached is not None:
         return cached
-    candidates = [affine_elt(datum, u, lam) for u in datum.weyl_elements()]
-    best = min(candidates, key=lambda e: e.length)
-    ties = [e for e in candidates if e.length == best.length]
-    if len(ties) != 1:
-        raise RuntimeError(f"minimal coset representative for {lam} is not unique")
+    _, word = datum.chamber_walk(lam)
+    u_inv = datum.weyl_identity()
+    for i in reversed(word):
+        u_inv = u_inv * datum.simple_reflection(i)
+    best = affine_elt(datum, u_inv, lam)
+    for i in range(datum.nsimples):
+        if _length(datum.simple_reflection(i) * best.w, lam) <= best.length:
+            raise RuntimeError(f"coset representative for {lam} has the left descent s{i + 1}")
     table[lam] = best
     return best
 

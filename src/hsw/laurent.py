@@ -82,23 +82,9 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._c)
 
-    def min_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no support")
-        return min(self._c)
-
-    def max_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no support")
-        return max(self._c)
-
     def at_one(self) -> int:
         """Evaluate at v = 1 (sum of coefficients)."""
         return sum(self._c.values())
-
-    def is_symmetric(self) -> bool:
-        """True iff invariant under the bar involution v -> v^(-1)."""
-        return all(self._c.get(-e, 0) == a for e, a in self._c.items())
 
     def in_v_inverse(self) -> bool:
         """True iff all exponents are strictly negative (element of v^-1 Z[v^-1])."""

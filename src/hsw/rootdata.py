@@ -3,7 +3,9 @@
 A root datum here is a weight lattice X = Z^rank together with simple roots
 (vectors in X) and simple coroots (integer functionals on X).  Weights are
 int tuples in the X basis, coweights are int tuples in the dual basis, and
-the pairing is the dot product.  Weyl elements act on X by integer matrices.
+the pairing is the dot product.  Weyl elements act on X by integer matrices;
+they are interned per datum, and their products are memoised in the datum's
+``_weyl_state`` tables.
 
 Construction validates the generalized Cartan matrix, finite type (the root
 closure must terminate), and the standing assumption that the coweight
@@ -83,22 +85,34 @@ class PosRoot:
 
 
 class WeylElt:
-    """An element of the finite Weyl group, stored as its matrix on X."""
+    """An element of the finite Weyl group, stored as its matrix on X.
 
-    __slots__ = ("datum", "matrix", "_len", "_inv", "_hash")
+    Elements are interned per datum, one object per matrix, and each is
+    hashed by the serial it got when interned, so distinct elements of a
+    datum never share a hash.  The inversion set (the positive roots that w
+    makes negative) is computed once per element; the length and the
+    descents read it.
+    """
 
-    def __init__(self, datum: "RootDatum", matrix: Matrix):
+    __slots__ = ("datum", "matrix", "_serial", "_inv", "_inversions")
+
+    def __init__(self, datum: "RootDatum", matrix: Matrix, serial: int):
         self.datum = datum
         self.matrix = matrix
-        self._len: int | None = None
+        self._serial = serial
         self._inv: "WeylElt | None" = None
-        self._hash: int | None = None
+        self._inversions: tuple[int, ...] | None = None
 
     def act(self, v: Sequence[int]) -> Vec:
         return mat_vec(self.matrix, v)
 
     def __mul__(self, other: "WeylElt") -> "WeylElt":
-        return self.datum._intern_weyl(mat_mul(self.matrix, other.matrix))
+        table = self.datum._weyl_state.mul
+        key = (self._serial, other._serial)
+        out = table.get(key)
+        if out is None:
+            out = table[key] = self.datum._intern_weyl(mat_mul(self.matrix, other.matrix))
+        return out
 
     def inverse(self) -> "WeylElt":
         if self._inv is None:
@@ -110,21 +124,26 @@ class WeylElt:
         return self._inv
 
     @property
-    def length(self) -> int:
-        if self._len is None:
-            roots = self.datum.positive_roots()
+    def inversions(self) -> tuple[int, ...]:
+        """1 at each positive root (in ``positive_roots`` order) that w makes
+        negative, 0 at the others."""
+        if self._inversions is None:
             neg = self.datum._negative_root_set
-            self._len = sum(1 for r in roots if mat_vec(self.matrix, r.vec) in neg)
-        return self._len
+            self._inversions = tuple(int(mat_vec(self.matrix, r.vec) in neg)
+                                     for r in self.datum.positive_roots())
+        return self._inversions
+
+    @property
+    def length(self) -> int:
+        return sum(self.inversions)
 
     def is_identity(self) -> bool:
-        return self.matrix == mat_identity(self.datum.rank)
+        return self is self.datum.weyl_identity()
 
     def descents(self) -> list[int]:
         """Simple indices i with l(w s_i) < l(w), i.e. w(alpha_i) negative."""
-        neg = self.datum._negative_root_set
-        return [i for i, r in enumerate(self.datum.simple_roots)
-                if mat_vec(self.matrix, r) in neg]
+        inv = self.inversions
+        return [i for i, k in enumerate(self.datum._simple_positions) if inv[k]]
 
     def reduced_word(self) -> tuple[int, ...]:
         """A reduced expression as simple indices, chosen by smallest descent."""
@@ -148,9 +167,7 @@ class WeylElt:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.matrix)
-        return self._hash
+        return self._serial
 
     def __repr__(self) -> str:
         word = ".".join(f"s{i + 1}" for i in self.reduced_word())
@@ -187,8 +204,10 @@ class RootDatum:
             raise ValueError("all simple roots and coroots must have the same length")
         self.rank: int = ranks.pop()
         self.nsimples: int = len(self.simple_roots)
-        self._weyl_intern: dict[Matrix, WeylElt] = {}
         self._once: dict[str, object] = {}   # values computed once, by name
+        # Weyl elements interned by matrix, and their products keyed by the
+        # serials of the two factors
+        self._weyl_state = Tables("intern", "mul")
         # the memo tables of each layer, filled by that layer's module (the
         # module layer's ``validated`` holds the module contents that passed
         # validation); the benchmark's tracer reads these attribute names and
@@ -226,6 +245,10 @@ class RootDatum:
             raise ValueError("simple coroots must be linearly independent")
         self._pos_roots = self._root_closure()  # raises when it does not terminate
         self._negative_root_set = frozenset(vec_neg(r.vec) for r in self._pos_roots)
+        self._pos_coroots: Matrix = tuple(r.cov for r in self._pos_roots)
+        self._simple_positions = tuple(
+            next(k for k, r in enumerate(self._pos_roots) if r.vec == a)
+            for a in self.simple_roots)
         self._check_coweight_torsion()
 
     def _check_coweight_torsion(self) -> None:
@@ -294,14 +317,17 @@ class RootDatum:
     # -- Weyl group ---------------------------------------------------------------
 
     def _intern_weyl(self, matrix: Matrix) -> WeylElt:
-        w = self._weyl_intern.get(matrix)
+        intern = self._weyl_state.intern
+        w = intern.get(matrix)
         if w is None:
-            w = WeylElt(self, matrix)
-            self._weyl_intern[matrix] = w
+            w = intern[matrix] = WeylElt(self, matrix, len(intern))
         return w
 
     def weyl_identity(self) -> WeylElt:
-        return self._intern_weyl(mat_identity(self.rank))
+        ident = self._once.get("identity")
+        if ident is None:
+            ident = self._once["identity"] = self._intern_weyl(mat_identity(self.rank))
+        return ident
 
     def _reflection(self, root: Vec, cov: Vec) -> WeylElt:
         """The reflection lam -> lam - <lam, cov> root."""
@@ -310,7 +336,11 @@ class RootDatum:
         return self._intern_weyl(mat)
 
     def simple_reflection(self, i: int) -> WeylElt:
-        return self._reflection(self.simple_roots[i], self.simple_coroots[i])
+        refl = self._once.get("simple_reflections")
+        if refl is None:
+            refl = self._once["simple_reflections"] = tuple(
+                self._reflection(a, c) for a, c in zip(self.simple_roots, self.simple_coroots))
+        return refl[i]
 
     def reflection_of(self, root: PosRoot) -> WeylElt:
         return self._reflection(root.vec, root.cov)
@@ -346,17 +376,31 @@ class RootDatum:
     def is_dominant(self, lam: Sequence[int]) -> bool:
         return all(pair(lam, c) >= 0 for c in self.simple_coroots)
 
-    def dominant_rep(self, lam: Sequence[int]) -> Vec:
-        """The dominant Weyl-orbit representative of a weight."""
+    def chamber_walk(self, lam: Sequence[int]) -> tuple[Vec, list[int]]:
+        """Reflect lam by a simple reflection s_i with <lam, alpha_i-check> < 0
+        (the smallest such i) until it is dominant.
+
+        Returns the dominant weight lam_dom and the indices i_1, ..., i_k of
+        the reflections taken, so that lam = u(lam_dom) with
+        u = s_i1 ... s_ik.  Each step lengthens u by one, so the word is
+        reduced, and u is the shortest element with lam = u(lam_dom).
+        """
         lam = tuple(int(x) for x in lam)
+        word = []
         while True:
-            for i in range(self.nsimples):
-                p = pair(lam, self.simple_coroots[i])
+            for i, cov in enumerate(self.simple_coroots):
+                p = pair(lam, cov)
                 if p < 0:
                     lam = vec_sub(lam, vec_scale(p, self.simple_roots[i]))
+                    word.append(i)
                     break
             else:
-                return lam
+                return lam, word
+
+    def dominant_rep(self, lam: Sequence[int]) -> Vec:
+        """The dominant Weyl-orbit representative of a weight: the end of the
+        chamber walk."""
+        return self.chamber_walk(lam)[0]
 
     # -- structure -------------------------------------------------------------------
 

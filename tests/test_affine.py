@@ -1,10 +1,26 @@
+import itertools
 import random
 
 import pytest
 
-from hsw.affine import (affine_identity, coset_decompose, min_rep, omega_elements,
-                        parse_weight, parse_word, reduced_word, simple_reflections,
-                        translation, word_elt)
+from hsw.affine import (affine_elt, affine_identity, coset_decompose, min_rep,
+                        omega_elements, parse_weight, parse_word, reduced_word,
+                        simple_reflections, translation, word_elt)
+from hsw.cli import main
+from hsw.hecke import verify_bernstein
+from hsw.rootdata import RootDatum, datum_preset
+
+PRESETS = ["A1", "A2", "B2", "G2", "A1xA1", "GL3"]
+
+
+def _root_by_root_length(datum, w, lam):
+    """l(w t_lam), moving each positive root by w on its own."""
+    neg = {tuple(-x for x in r.vec) for r in datum.positive_roots()}
+    total = 0
+    for r in datum.positive_roots():
+        p = sum(a * b for a, b in zip(lam, r.cov))
+        total += abs(p + 1) if w.act(r.vec) in neg else abs(p)
+    return total
 
 
 def test_translation_lengths(a1, a2):
@@ -83,19 +99,55 @@ def test_reduced_word_reassembles(a2):
         assert acc == x
 
 
-def test_min_rep_is_minimum(a2):
-    """brute force the coset over the finite group"""
-    for lam in [(0, 0), (1, 0), (-1, 2), (2, 2), (-3, 1)]:
-        m = min_rep(a2, lam)
-        lengths = []
-        for w in a2.weyl_elements():
-            elt = translation(a2, lam)
-            acc = affine_identity(a2)
-            for i in w.reduced_word():
-                acc = acc * simple_reflections(a2)[i].elt
-            lengths.append((acc * elt).length)
-        assert m.length == min(lengths)
-        assert m.lam == lam
+def test_min_rep_is_minimum():
+    """min_rep against the brute-force minimum over all |W| elements u t_lam,
+    which is unique"""
+    for name in PRESETS:
+        datum = datum_preset(name)
+        r = 3 if name == "GL3" else 5
+        for lam in itertools.product(range(-r, r + 1), repeat=datum.rank):
+            lengths = sorted((_root_by_root_length(datum, u, lam), u.matrix)
+                             for u in datum.weyl_elements())
+            assert lengths[0][0] < lengths[1][0], (name, lam)
+            m = min_rep(datum, lam)
+            assert (m.length, m.w.matrix, m.lam) == (*lengths[0], lam), (name, lam)
+            assert m.w.act(lam) == datum.dominant_rep(lam)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_length_matches_root_by_root_formula(name):
+    datum = datum_preset(name)
+    rng = random.Random(8128)
+    simples = simple_reflections(datum)
+    ws = datum.weyl_elements()
+    for _ in range(150):
+        lam = tuple(rng.randint(-6, 6) for _ in range(datum.rank))
+        x = affine_elt(datum, rng.choice(ws), lam)
+        for _ in range(rng.randrange(4)):
+            x = x * rng.choice(simples).elt
+        assert x.length == _root_by_root_length(datum, x.w, x.lam), x
+
+
+def test_interned_elements_have_distinct_hashes():
+    datum = datum_preset("G2")
+    verify_bernstein(datum, 1)
+    elts = list(datum._affine_state.elts.values())
+    assert len(elts) > 900
+    assert len({hash(x) for x in elts}) == len(elts)
+    ws = datum.weyl_elements()
+    assert len({hash(w) for w in ws}) == len(ws)
+
+
+def test_coset_representative_with_a_left_descent_exits_3(monkeypatch, capsys):
+    walk = RootDatum.chamber_walk
+
+    def reversed_walk(self, lam):
+        dom, word = walk(self, lam)
+        return dom, word[::-1]   # min_rep then builds u t_lam, not u^-1 t_lam
+
+    monkeypatch.setattr(RootDatum, "chamber_walk", reversed_walk)
+    assert main(["canonical-basis", "--datum", "G2", "--lambda=-1,2"]) == 3
+    assert "left descent" in capsys.readouterr().err
 
 
 def test_coset_decompose(a2):

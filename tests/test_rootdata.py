@@ -1,10 +1,13 @@
+import itertools
 import json
 
 import pytest
 
 from hsw.affine import omega_elements
 from hsw.rootdata import (RootDatum, datum_from_file, datum_from_json,
-                          datum_preset, load_datum)
+                          datum_preset, load_datum, mat_identity)
+
+PRESETS = ["A1", "A2", "B2", "G2", "A1xA1", "GL3"]
 
 
 def test_preset_counts(a1, a2, b2, g2):
@@ -96,6 +99,38 @@ def test_dominant_rep(b2):
         moved = w.act(lam)
         assert b2.dominant_rep(moved) == b2.dominant_rep(lam)
     assert b2.is_dominant(b2.dominant_rep((-3, 1)))
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_chamber_walk(name):
+    d = datum_preset(name)
+    r = 2 if name == "GL3" else 4
+    for lam in itertools.product(range(-r, r + 1), repeat=d.rank):
+        dom, word = d.chamber_walk(lam)
+        u = d.weyl_identity()
+        for i in word:
+            u = u * d.simple_reflection(i)
+        assert d.is_dominant(dom) and u.act(dom) == lam
+        assert dom == d.dominant_rep(lam)
+        assert len(word) == u.length
+        assert u.length == min(w.length for w in d.weyl_elements() if w.act(dom) == lam)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_inversion_sets(name):
+    d = datum_preset(name)
+    neg = {tuple(-x for x in r.vec) for r in d.positive_roots()}
+    ident = d.weyl_identity()
+    assert ident is d.weyl_identity() and ident.matrix == mat_identity(d.rank)
+    for w in d.weyl_elements():
+        assert w.inversions == tuple(int(w.act(r.vec) in neg) for r in d.positive_roots())
+        assert w.length == sum(w.act(r.vec) in neg for r in d.positive_roots())
+        assert w.descents() == [i for i, a in enumerate(d.simple_roots) if w.act(a) in neg]
+        assert w.is_identity() == (w.matrix == ident.matrix)
+        for v in d.weyl_elements():
+            wv = w * v
+            assert wv is w * v
+            assert all(wv.act(e) == w.act(v.act(e)) for e in ident.matrix)
 
 
 def test_validation_rejects_bad_input():
