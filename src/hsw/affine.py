@@ -9,7 +9,8 @@ Weyl element), so no Coxeter presentation is needed to measure an element.
 The shortest element of a coset W t_lam comes from the chamber walk of lam,
 with no search over W.  The length-zero subgroup (isomorphic to the weight
 lattice modulo the root lattice) is handled lazily and never enumerated
-unless it is finite.
+unless it is finite.  Weight boxes bounded by length are boxes of pairings
+(``length_box``), so nothing here depends on the basis of X.
 
 Per datum, the tables of ``datum._affine_state`` intern the elements
 (``elts``, one object per pair (w, lam), hashed by its serial there, so no two
@@ -68,6 +69,10 @@ class AffineElt:
 
     def __hash__(self) -> int:
         return self._serial
+
+    def __reduce__(self):
+        # a copy hashes by its serial while the datum's tables holding it are copied
+        return AffineElt, (self.datum, self.w, self.lam, self._serial)
 
     def __repr__(self) -> str:
         wpart = ".".join(f"s{i + 1}" for i in self.w.reduced_word()) or "e"
@@ -224,38 +229,33 @@ def coset_decompose(x: AffineElt) -> tuple[WeylElt, Vec]:
 
 
 def omega_elements(datum: RootDatum) -> tuple[AffineElt, ...]:
-    """All length-zero elements, when the fundamental group is finite."""
+    """All length-zero elements, when the fundamental group is finite: the
+    min_rep(lam) of length zero over lam in ``length_box(datum, 0)``."""
     once = datum._affine_state.once
     if "omegas" in once:
         return once["omegas"]
     n = datum.fundamental_group_order()
     if n is None:
         raise ValueError("the length-zero subgroup of this datum is infinite")
-    found: set[AffineElt] = set()
-    bound = 1
-    while len(found) < n:
-        if bound > max(4, n + 2):
-            raise RuntimeError("failed to locate all length-zero elements")
-        for lam in itertools.product(range(-bound, bound + 1), repeat=datum.rank):
-            el = min_rep(datum, lam)
-            if el.length == 0:
-                found.add(el)
-        bound += 1
+    found = [el for el in (min_rep(datum, lam) for lam in length_box(datum, 0))
+             if el.length == 0]
+    if len(found) != n:
+        raise RuntimeError(f"found {len(found)} length-zero elements; expected {n}")
     out = once["omegas"] = tuple(sorted(found, key=lambda e: (e.lam, e.w.matrix)))
     return out
 
 
-def length_box(datum: RootDatum, max_len: int):
-    """The coordinate box, in lexicographic order, that holds every weight
-    lam whose coset representative min_rep(lam) has length at most max_len.
-
-    Its half-width is max_len + l(w0).  A datum with an infinite fundamental
-    group is refused, since there the set of such weights is infinite.
+def length_box(datum: RootDatum, max_len: int) -> list[Vec]:
+    """The weights whose simple-coroot pairings p_i lie in -(max_len + 1)..max_len + 1,
+    in lexicographic order.  They hold every lam with l(min_rep(lam)) <= max_len,
+    since alpha_i adds |p_i| or |p_i| - 1 to that length.  A datum with an
+    infinite fundamental group is refused: there the set of such weights is infinite.
     """
     if datum.fundamental_group_order() is None:
         raise ValueError("this datum has central directions; the grid is infinite")
-    bound = max_len + datum.longest_element().length
-    return itertools.product(range(-bound, bound + 1), repeat=datum.rank)
+    bound = max_len + 1
+    return sorted(datum.weight_from_pairings(p)
+                  for p in itertools.product(range(-bound, bound + 1), repeat=datum.rank))
 
 
 def parse_weight(text: str, rank: int) -> Vec:

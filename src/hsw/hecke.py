@@ -171,21 +171,17 @@ def hecke_bar(a: HeckeElt) -> HeckeElt:
 
 
 def _dominant_split(datum: RootDatum, lam: tuple) -> tuple[tuple, tuple]:
-    """Split lam = mu - nu with mu, nu dominant."""
-    once = datum._hecke_state.once
-    if "units_dominant" not in once:
-        once["units_dominant"] = all(
-            datum.is_dominant(tuple(int(i == j) for j in range(datum.rank)))
-            for i in range(datum.rank))
-    if once["units_dominant"]:
-        mu = tuple(max(x, 0) for x in lam)
-        nu = tuple(max(-x, 0) for x in lam)
-        return mu, nu
-    # fall back to a strictly dominant corrector: <2rho, alpha_i-check> = 2
-    two_rho = datum.two_rho()
-    worst = min(pair(lam, c) for c in datum.simple_coroots)
+    """Split lam = mu - nu with mu, nu dominant: with a finite fundamental
+    group, nu pairs to max(-<lam, alpha_i-check>, 0); with central directions,
+    where pairings do not fix a weight, nu is a multiple of 2rho."""
+    pairings = [pair(lam, c) for c in datum.simple_coroots]
+    if datum.fundamental_group_order() is not None:
+        nu = datum.weight_from_pairings([max(-p, 0) for p in pairings])
+        return vec_add(lam, nu), nu
+    # a strictly dominant corrector: <2rho, alpha_i-check> = 2
+    worst = min(pairings)
     k = (-worst + 1) // 2 if worst < 0 else 0
-    nu = vec_scale(k, two_rho)
+    nu = vec_scale(k, datum.two_rho())
     return vec_add(lam, nu), nu
 
 

@@ -11,7 +11,8 @@ Three layers:
   table of the pairs (l(w) mod 2, w(2 eta + 2 rho)) built once per highest
   weight eta,
 * an independent Freudenthal recursion for the same multiplicity at q = 1,
-  using the symmetrized invariant form, in integer arithmetic: each
+  using the invariant form B(x, y) = sum over positive roots a of
+  <x, a-check> <y, a-check>, in integer arithmetic: each
   root-string sum is memoised as one step plus the sum one step further up
   the string, so the work is linear in the number of weights times the
   number of positive roots.
@@ -21,23 +22,21 @@ coefficients substitutes q = v^-2.
 
 The alternating sum runs through doubled weights (2 eta + 2 rho and
 friends) so that every intermediate stays in the integer lattice; the
-invariant form takes integer values on weights and root coordinates.
+invariant form takes integer values on weights.
 
 Per datum, the tables of ``datum._q_state`` are ``kostant`` and ``partial``
 (the partition counter), ``orbits`` (the alternating sum), ``freud`` and
 ``weights`` (the Freudenthal side); its ``once`` table holds the
-root-coordinate solver and the symmetrizer.
+root-coordinate solver and the Gram matrix of the invariant form.
 """
 
 from __future__ import annotations
 
-import math
-
 from . import linalg
 from .affine import length_box, min_rep
 from .laurent import ONE, ZERO, LaurentPoly
-from .rootdata import (RootDatum, Vec, pair, vec_add, vec_neg, vec_scale,
-                       vec_sub)
+from .rootdata import (RootDatum, Vec, mat_vec, pair, vec_add, vec_neg,
+                       vec_scale, vec_sub)
 from .worklist import fill
 
 
@@ -169,52 +168,30 @@ def lusztig_q(datum: RootDatum, chi, eta) -> LaurentPoly:
 # -- Freudenthal oracle -------------------------------------------------------------------
 
 
-def _symmetrizer(datum: RootDatum) -> tuple[int, ...]:
-    """Minimal positive integers d_i with d_i a_ij = d_j a_ji."""
+def _invariant_form(datum: RootDatum) -> tuple:
+    """The Gram matrix G of B(x, y) = sum over positive roots a of
+    <x, a-check> <y, a-check>, and G a for each positive root a in
+    ``positive_roots`` order, so that B(a, y) = <G a, y>.
+
+    B is W-invariant, since W permutes the coroots up to sign; it is integral
+    on weights, and on each simple component a positive multiple of the
+    normalised invariant form, which is all Freudenthal's formula needs.
+    """
     once = datum._q_state.once
-    if "symmetrizer" in once:
-        return once["symmetrizer"]
-    a = datum.cartan_matrix()
-    n = datum.nsimples
-    d: list[tuple[int, int] | None] = [None] * n   # d_i as (numerator, denominator)
-    for comp in datum.components():
-        d[comp[0]] = (1, 1)
-        queue = [comp[0]]
-        while queue:
-            i = queue.pop()
-            for j in comp:
-                if d[j] is None and a[i][j]:
-                    p, q = d[i][0] * a[i][j], d[i][1] * a[j][i]
-                    g = math.gcd(p, q) * (-1 if q < 0 else 1)
-                    d[j] = (p // g, q // g)
-                    queue.append(j)
-    denom_lcm = math.lcm(*(q for _, q in d))
-    ints = [p * denom_lcm // q for p, q in d]
-    g = math.gcd(*ints)
-    ints = [x // g for x in ints]
-    for i in range(n):
-        for j in range(n):
-            if ints[i] * a[i][j] != ints[j] * a[j][i]:
-                raise RuntimeError("symmetrizer failed; Cartan matrix not symmetrizable")
-    out = once["symmetrizer"] = tuple(ints)
-    return out
+    if "form" not in once:
+        cov = datum._pos_coroots
+        gram = tuple(tuple(sum(c[i] * c[j] for c in cov) for j in range(datum.rank))
+                     for i in range(datum.rank))
+        once["form"] = (gram, tuple(mat_vec(gram, r.vec) for r in datum.positive_roots()))
+    return once["form"]
 
 
-def _form(datum: RootDatum, x_coords, y) -> int:
-    """Invariant form B(x, y) with x given in root coordinates."""
-    d = _symmetrizer(datum)
-    return sum(c * d[j] * pair(y, datum.simple_coroots[j])
-               for j, c in enumerate(x_coords) if c)
-
-
-def _gap(datum: RootDatum, eta: Vec, chi: Vec) -> Vec | None:
-    """The root coordinates of eta - chi when they are nonnegative integers,
-    else None.  For dominant chi, None means chi is not a weight of the module
+def _gap(datum: RootDatum, eta: Vec, chi: Vec) -> bool:
+    """Whether eta - chi is a nonnegative integral combination of simple
+    roots.  For dominant chi, False means chi is not a weight of the module
     of highest weight eta."""
     gap = root_coords_int(datum, vec_sub(eta, chi))
-    if gap is None or any(x < 0 for x in gap):
-        return None
-    return gap
+    return gap is not None and all(x >= 0 for x in gap)
 
 
 def freudenthal_mult(datum: RootDatum, eta, chi) -> int:
@@ -237,23 +214,22 @@ def freudenthal_mult(datum: RootDatum, eta, chi) -> int:
         raise ValueError(f"highest weight {eta} must be dominant")
     memo = datum._q_state.freud.setdefault(eta, {eta: 1})
     roots = datum.positive_roots()
+    gram, root_images = _invariant_form(datum)
     top = vec_add(eta, datum.two_rho())
 
     def steps(key):
         if isinstance(key[0], tuple):          # the string sum S(chi, roots[i])
             chip, i = key
-            root = roots[i]
-            nxt = vec_add(chip, root.vec)
+            nxt = vec_add(chip, roots[i].vec)
             dom = datum.dominant_rep(nxt)
-            if _gap(datum, eta, dom) is None:
+            if not _gap(datum, eta, dom):
                 return 0
             m = yield dom
             rest = yield (nxt, i)
-            return m * _form(datum, root.root_coords, nxt) + rest
-        gap = _gap(datum, eta, key)
-        if gap is None:
+            return m * pair(root_images[i], nxt) + rest
+        if not _gap(datum, eta, key):
             return 0
-        denom = _form(datum, gap, vec_add(top, key))
+        denom = pair(mat_vec(gram, vec_sub(eta, key)), vec_add(top, key))
         if denom == 0:
             return 0
         total = 0
@@ -297,7 +273,7 @@ def weights_of_irrep(datum: RootDatum, eta) -> tuple[Vec, ...]:
         return cached
 
     def inside(chi: Vec) -> bool:
-        return _gap(datum, eta, datum.dominant_rep(chi)) is not None
+        return _gap(datum, eta, datum.dominant_rep(chi))
 
     seen = {eta}
     queue = [eta]

@@ -3,9 +3,10 @@
 A root datum here is a weight lattice X = Z^rank together with simple roots
 (vectors in X) and simple coroots (integer functionals on X).  Weights are
 int tuples in the X basis, coweights are int tuples in the dual basis, and
-the pairing is the dot product.  Weyl elements act on X by integer matrices;
-they are interned per datum, and their products are memoised in the datum's
-``_weyl_state`` tables.
+the pairing is the dot product; X may be in any basis, since a weight with
+given simple-coroot pairings comes from ``RootDatum.weight_from_pairings``.
+Weyl elements act on X by integer matrices; they are interned per datum, and
+their products are memoised in the datum's ``_weyl_state`` tables.
 
 Construction validates the generalized Cartan matrix, finite type (the root
 closure must terminate), and the standing assumption that the coweight
@@ -169,6 +170,10 @@ class WeylElt:
     def __hash__(self) -> int:
         return self._serial
 
+    def __reduce__(self):
+        # a copy hashes by its serial while the datum's tables holding it are copied
+        return WeylElt, (self.datum, self.matrix, self._serial)
+
     def __repr__(self) -> str:
         word = ".".join(f"s{i + 1}" for i in self.reduced_word())
         return f"WeylElt({word or 'e'})"
@@ -213,7 +218,7 @@ class RootDatum:
         # validation); the benchmark's tracer reads these attribute names and
         # table names
         self._affine_state = Tables("elts", "mul_simple", "reduced", "min_reps", "once")
-        self._hecke_state = Tables("inv_T", "theta", "once")
+        self._hecke_state = Tables("inv_T", "theta")
         self._sph_state = Tables("coset", "act_simple", "bar_basis", "canonical")
         self._q_state = Tables("kostant", "partial", "orbits", "freud", "weights", "once")
         self._mod_state = Tables("twists", "atoms", "chains", "validated", "once")
@@ -442,6 +447,23 @@ class RootDatum:
             return None
         det = linalg.det([list(col) for col in zip(*self.simple_roots)])
         return abs(det)
+
+    def weight_from_pairings(self, pairings: Sequence[int]) -> Vec:
+        """The weight lam with <lam, alpha_i-check> = pairings[i].  With a finite
+        fundamental group the torsion check makes the coroot matrix C unimodular,
+        so lam = C^-1 pairings (C^-1 is held per datum); with central directions
+        the pairings do not determine lam, and ``ValueError`` is raised.
+
+        >>> RootDatum([[-7, -1], [17, 2]], [[1, -9], [0, 1]]).weight_from_pairings((0, 1))
+        (9, 1)
+        """
+        inv = self._once.get("coroot_inverse")
+        if inv is None:
+            if self.nsimples != self.rank:
+                raise ValueError("this datum has central directions; pairings do not fix a weight")
+            det, adj = linalg.inverse(self.simple_coroots)   # det is +-1
+            inv = self._once["coroot_inverse"] = tuple(tuple(x // det for x in r) for r in adj)
+        return mat_vec(inv, pairings)
 
     # -- serialization ------------------------------------------------------------------
 

@@ -1,16 +1,55 @@
 import itertools
+import math
 import sys
+from pathlib import Path
 
 import pytest
 
 from hsw import qanalogue
 from hsw.laurent import ONE, ZERO, LaurentPoly
-from hsw.qanalogue import (_form, _symmetrizer, dominant_weights_by_length, freudenthal_mult,
+from hsw.qanalogue import (_invariant_form, dominant_weights_by_length, freudenthal_mult,
                            kato_check, kato_grid, kostant_q, lusztig_q,
                            root_coords_int, weights_of_irrep, weyl_dim)
-from hsw.rootdata import datum_preset, vec_add, vec_scale, vec_sub
+from hsw.rootdata import datum_preset, load_datum, mat_vec, pair, vec_add, vec_scale, vec_sub
 from hsw.verify import weights_by_length
 from hsw.worklist import fill
+
+
+SHEARED_A2 = str(Path(__file__).parent / "data" / "a2_sheared.json")
+
+
+def _symmetrizer(datum):
+    """Minimal positive integers d_i with d_i a_ij = d_j a_ji."""
+    a = datum.cartan_matrix()
+    n = datum.nsimples
+    d = [None] * n   # d_i as (numerator, denominator)
+    for comp in datum.components():
+        d[comp[0]] = (1, 1)
+        queue = [comp[0]]
+        while queue:
+            i = queue.pop()
+            for j in comp:
+                if d[j] is None and a[i][j]:
+                    p, q = d[i][0] * a[i][j], d[i][1] * a[j][i]
+                    g = math.gcd(p, q) * (-1 if q < 0 else 1)
+                    d[j] = (p // g, q // g)
+                    queue.append(j)
+    denom_lcm = math.lcm(*(q for _, q in d))
+    ints = [p * denom_lcm // q for p, q in d]
+    g = math.gcd(*ints)
+    ints = [x // g for x in ints]
+    for i in range(n):
+        for j in range(n):
+            assert ints[i] * a[i][j] == ints[j] * a[j][i]
+    return tuple(ints)
+
+
+def _form(datum, x_coords, y):
+    """The invariant form of the symmetrized Cartan matrix, B(x, y) with x
+    given in root coordinates: the reference walk's own form."""
+    d = _symmetrizer(datum)
+    return sum(c * d[j] * pair(y, datum.simple_coroots[j])
+               for j, c in enumerate(x_coords) if c)
 
 
 def _freudenthal_walk(datum, eta, chi, memo):
@@ -165,7 +204,27 @@ def test_freudenthal_against_dimension(a1, a2, b2, g2):
 @pytest.mark.parametrize("name, want", [("A1", (1,)), ("A2", (1, 1)), ("B2", (2, 1)),
                                         ("G2", (3, 1)), ("A1xA1", (1, 1)), ("GL3", (1, 1))])
 def test_symmetrizer_goldens(name, want):
+    # the reference walk's symmetrizer
     assert _symmetrizer(datum_preset(name)) == want
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A1xA1", "GL3", "B2xA1"])
+def test_invariant_form(name):
+    datum = datum_preset(name)
+    gram, root_images = _invariant_form(datum)
+
+    def form(x, y):
+        return pair(mat_vec(gram, x), y)
+
+    box = list(itertools.product(range(-1, 2), repeat=datum.rank))
+    for w in datum.weyl_elements():
+        images = {x: w.act(x) for x in box}
+        for x in box:
+            for y in box:
+                assert form(images[x], images[y]) == form(x, y), (w, x, y)
+    for r, image in zip(datum.positive_roots(), root_images):
+        assert form(r.vec, r.vec) > 0
+        assert image == mat_vec(gram, r.vec)
 
 
 def test_deep_freudenthal_needs_no_recursion():
@@ -180,12 +239,17 @@ def test_deep_freudenthal_needs_no_recursion():
 
 
 @pytest.mark.parametrize("name, box", [("A1", 3), ("A2", 3), ("B2", 3), ("G2", 2),
-                                       ("A1xA1", 2), ("GL3", 1)])
+                                       ("A1xA1", 2), ("GL3", 1), ("B2xA1", 1),
+                                       pytest.param(SHEARED_A2, 3, id="A2sheared-3")])
 def test_freudenthal_matches_root_string_walk(name, box):
-    datum = datum_preset(name)
-    for eta in itertools.product(range(box + 1), repeat=datum.rank):
-        if not datum.is_dominant(eta):
-            continue
+    datum = load_datum(name)
+    if datum.fundamental_group_order() is None:
+        etas = [eta for eta in itertools.product(range(box + 1), repeat=datum.rank)
+                if datum.is_dominant(eta)]
+    else:   # highest weights by their pairings: the same box on the presets
+        etas = [datum.weight_from_pairings(p)
+                for p in itertools.product(range(box + 1), repeat=datum.rank)]
+    for eta in etas:
         memo = {}
         for chi in weights_of_irrep(datum, eta):
             assert freudenthal_mult(datum, eta, chi) == _freudenthal_walk(datum, eta, chi, memo)

@@ -1,5 +1,6 @@
 """The per-datum memo tables: the names the benchmark's tracer reads, and
-copying or pickling a datum whose tables are filled, and a misspelt table."""
+copying or pickling a datum whose tables are filled, or a lone element, and a
+misspelt table."""
 
 import copy
 import importlib.util
@@ -73,6 +74,24 @@ def test_copy_and_pickle_keep_the_tables(clone):
     assert held and twin._mod_state.validated.keys() == held.keys()
     m, n = (bs_module(d, min_rep(d, (0, 0)), simple_reflections(d)[:2] * 2) for d in (datum, twin))
     assert (m.gens, m.theta, m.left) == (n.gens, n.theta, n.left)
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["deepcopy", "pickle"])
+def test_copy_and_pickle_a_lone_element(clone):
+    # the datum's tables hold the element itself, so the copy must hash
+    # before its datum's tables are rebuilt
+    datum = datum_preset("A2")
+    x = min_rep(datum, (1, -1))
+    mul_simple(x, simple_reflections(datum)[0])
+    s = datum.simple_reflection(0)
+    twin, s_twin = clone(x), clone(s)
+    assert twin.datum is not datum and s_twin.datum is not datum
+    assert (twin.w.matrix, twin.lam) == (x.w.matrix, x.lam)
+    assert hash(twin) == hash(x) and twin.length == x.length
+    assert twin == min_rep(twin.datum, (1, -1))
+    assert s_twin.matrix == s.matrix and hash(s_twin) == hash(s)
+    assert s_twin.length == 1 and s_twin == s_twin.datum.simple_reflection(0)
 
 
 def test_misspelt_table_is_an_error():
