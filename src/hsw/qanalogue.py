@@ -7,27 +7,35 @@ Three layers:
   asked for, so that a repeated value, zero included, needs no solve for
   root coordinates,
 * the alternating Weyl sum producing the graded multiplicity polynomial of
-  a dominant weight inside an irreducible highest-weight module, read off a
-  table of the pairs (l(w) mod 2, w(2 eta + 2 rho)) built once per highest
-  weight eta,
+  a weight inside an irreducible highest-weight module, in root
+  coordinates: a table built once per highest weight eta holds, for each w,
+  l(w) mod 2, d_w = w(eta + rho) - (eta + rho) and the root coordinates of
+  d_w; a call solves once for the root coordinates g of eta - chi and asks
+  the partition counter only for the terms whose coordinates d_w + g are
+  all nonnegative,
 * an independent Freudenthal recursion for the same multiplicity at q = 1,
   using the invariant form B(x, y) = sum over positive roots a of
   <x, a-check> <y, a-check>, in integer arithmetic: each
   root-string sum is memoised as one step plus the sum one step further up
   the string, so the work is linear in the number of weights times the
-  number of positive roots.
+  number of positive roots.  Membership and dominant representatives come
+  from a weight table built once per highest weight: the dominant weights
+  below eta, reached by subtracting positive roots while staying dominant,
+  and their Weyl orbits.
 
 The polynomials here live in the variable q; the comparison against module
 coefficients substitutes q = v^-2.
 
-The alternating sum runs through doubled weights (2 eta + 2 rho and
-friends) so that every intermediate stays in the integer lattice; the
-invariant form takes integer values on weights.
+The orbit table of the alternating sum is built from the doubled weight
+2 eta + 2 rho, so that every intermediate stays in the integer lattice even
+where rho is not a weight; the invariant form takes integer values on
+weights.
 
 Per datum, the tables of ``datum._q_state`` are ``kostant`` and ``partial``
 (the partition counter), ``orbits`` (the alternating sum), ``freud`` and
-``weights`` (the Freudenthal side); its ``once`` table holds the
-root-coordinate solver and the Gram matrix of the invariant form.
+``weights`` (the Freudenthal side and ``weights_of_irrep``); its ``once``
+table holds the root-coordinate solver and the Gram matrix of the invariant
+form.
 """
 
 from __future__ import annotations
@@ -130,15 +138,26 @@ def _kostant_rec(partial: dict, roots, i: int, rem: Vec) -> LaurentPoly:
 # -- graded multiplicity ------------------------------------------------------------------
 
 
-def _orbit(datum: RootDatum, eta: Vec) -> tuple[tuple[int, Vec], ...]:
-    """The pairs (l(w) mod 2, w(2 eta + 2 rho)) over the Weyl group, built
-    once per highest weight."""
+def _orbit(datum: RootDatum, eta: Vec) -> tuple[tuple[int, Vec, Vec], ...]:
+    """The triples (l(w) mod 2, d_w, root coordinates of d_w) over the Weyl
+    group, with d_w = w(eta + rho) - (eta + rho), built once per highest
+    weight.  d_w is found as half of w(2 eta + 2 rho) - (2 eta + 2 rho), so
+    that every intermediate is integral; it lies in the root lattice."""
     orbits = datum._q_state.orbits
     orbit = orbits.get(eta)
     if orbit is None:
         top = vec_add(vec_scale(2, eta), datum.two_rho())
-        orbit = orbits[eta] = tuple((w.length % 2, w.act(top))
-                                    for w in datum.weyl_elements())
+        rows = []
+        for w in datum.weyl_elements():
+            diff2 = vec_sub(w.act(top), top)
+            if any(x % 2 for x in diff2):
+                raise RuntimeError("doubled weight difference is odd; invariant broken")
+            diff = tuple(x // 2 for x in diff2)
+            rc = root_coords_int(datum, diff)
+            if rc is None:
+                raise RuntimeError("w(eta + rho) - (eta + rho) left the root lattice")
+            rows.append((w.length % 2, diff, rc))
+        orbit = orbits[eta] = tuple(rows)
     return orbit
 
 
@@ -146,21 +165,26 @@ def lusztig_q(datum: RootDatum, chi, eta) -> LaurentPoly:
     """The graded multiplicity polynomial of weight chi in the module of
     highest weight eta (eta must be dominant), as an alternating Weyl sum of
     q-Kostant values: the sum over w of (-1)^l(w) times the q-Kostant value
-    at (w(2 eta + 2 rho) - (2 chi + 2 rho)) / 2, read off the orbit table of
-    eta.
+    at d_w + (eta - chi), with d_w = w(eta + rho) - (eta + rho) read off the
+    orbit table of eta.
+
+    One solve gives the root coordinates g of eta - chi (none: the sum is
+    zero); a term is looked up only when the coordinates of d_w plus g are
+    all nonnegative, since the partition count vanishes off that cone.
     """
     chi = tuple(int(x) for x in chi)
     eta = tuple(int(x) for x in eta)
     if not datum.is_dominant(eta):
         raise ValueError(f"highest weight {eta} must be dominant")
-    target = vec_add(vec_scale(2, chi), datum.two_rho())
+    gap = vec_sub(eta, chi)
+    g = root_coords_int(datum, gap)
+    if g is None:
+        return ZERO
     acc: dict[int, int] = {}
-    for odd, image in _orbit(datum, eta):
-        arg2 = vec_sub(image, target)
-        if any(x % 2 for x in arg2):
-            raise RuntimeError("doubled weight difference is odd; invariant broken")
-        term = kostant_q(datum, tuple(x // 2 for x in arg2))
-        for e, a in term._c.items():
+    for odd, diff, rc in _orbit(datum, eta):
+        if any(a + b < 0 for a, b in zip(rc, g)):
+            continue
+        for e, a in kostant_q(datum, vec_add(diff, gap))._c.items():
             acc[e] = acc.get(e, 0) + (-a if odd else a)
     return LaurentPoly(acc)
 
@@ -186,12 +210,32 @@ def _invariant_form(datum: RootDatum) -> tuple:
     return once["form"]
 
 
-def _gap(datum: RootDatum, eta: Vec, chi: Vec) -> bool:
-    """Whether eta - chi is a nonnegative integral combination of simple
-    roots.  For dominant chi, False means chi is not a weight of the module
-    of highest weight eta."""
-    gap = root_coords_int(datum, vec_sub(eta, chi))
-    return gap is not None and all(x >= 0 for x in gap)
+def _weight_table(datum: RootDatum, eta: Vec) -> tuple[dict[Vec, Vec], tuple[Vec, ...]]:
+    """The weights of the module of highest weight eta, each mapped to its
+    dominant representative, and the same weights sorted; built once per
+    highest weight.
+
+    The dominant weights below eta are reached from eta by subtracting
+    positive roots while the result stays dominant (Stembridge, "The partial
+    order of dominant weights", Adv. Math. 136 (1998)); the weights are their
+    Weyl orbits.
+    """
+    table = datum._q_state.weights
+    held = table.get(eta)
+    if held is None:
+        roots = [r.vec for r in datum.positive_roots()]
+        dominant = {eta}
+        stack = [eta]
+        while stack:
+            mu = stack.pop()
+            for a in roots:
+                nxt = vec_sub(mu, a)
+                if nxt not in dominant and datum.is_dominant(nxt):
+                    dominant.add(nxt)
+                    stack.append(nxt)
+        reps = {w.act(mu): mu for mu in dominant for w in datum.weyl_elements()}
+        held = table[eta] = (reps, tuple(sorted(reps)))
+    return held
 
 
 def freudenthal_mult(datum: RootDatum, eta, chi) -> int:
@@ -203,15 +247,21 @@ def freudenthal_mult(datum: RootDatum, eta, chi) -> int:
     with the root-string sums S(chi, alpha) = sum_(k >= 1) m(chi + k alpha)
     B(chi + k alpha, alpha) memoised one step at a time:
     S(chi, alpha) = m(chi + alpha) B(chi + alpha, alpha) + S(chi + alpha, alpha),
-    and zero once chi + alpha leaves the weights of the module.  The memo of
-    each eta keys m by dominant weight (m is Weyl-invariant) and S by
-    (weight, index of alpha).  Both are filled in integers from one explicit
-    stack (``hsw.worklist``), not by Python recursion.
+    and zero once chi + alpha leaves the weights of the module.  Membership
+    and dominant representatives are read off the weight table of eta, and a
+    chi outside it has multiplicity 0.  The memo of each eta keys m by
+    dominant weight (m is Weyl-invariant) and S by (weight, index of alpha).
+    Both are filled in integers from one explicit stack (``hsw.worklist``),
+    not by Python recursion.
     """
     eta = tuple(int(x) for x in eta)
     chi = tuple(int(x) for x in chi)
     if not datum.is_dominant(eta):
         raise ValueError(f"highest weight {eta} must be dominant")
+    reps = _weight_table(datum, eta)[0]
+    dom = reps.get(chi)
+    if dom is None:
+        return 0
     memo = datum._q_state.freud.setdefault(eta, {eta: 1})
     roots = datum.positive_roots()
     gram, root_images = _invariant_form(datum)
@@ -221,14 +271,12 @@ def freudenthal_mult(datum: RootDatum, eta, chi) -> int:
         if isinstance(key[0], tuple):          # the string sum S(chi, roots[i])
             chip, i = key
             nxt = vec_add(chip, roots[i].vec)
-            dom = datum.dominant_rep(nxt)
-            if not _gap(datum, eta, dom):
+            up = reps.get(nxt)
+            if up is None:
                 return 0
-            m = yield dom
+            m = yield up
             rest = yield (nxt, i)
             return m * pair(root_images[i], nxt) + rest
-        if not _gap(datum, eta, key):
-            return 0
         denom = pair(mat_vec(gram, vec_sub(eta, key)), vec_add(top, key))
         if denom == 0:
             return 0
@@ -240,7 +288,7 @@ def freudenthal_mult(datum: RootDatum, eta, chi) -> int:
             raise RuntimeError("Freudenthal recursion produced a non-integer")
         return val
 
-    return fill(memo, datum.dominant_rep(chi), steps)
+    return fill(memo, dom, steps)
 
 
 def weyl_dim(datum: RootDatum, eta) -> int:
@@ -262,33 +310,13 @@ def weyl_dim(datum: RootDatum, eta) -> int:
 
 def weights_of_irrep(datum: RootDatum, eta) -> tuple[Vec, ...]:
     """All weights of the module of highest weight eta (with repetitions
-    ignored), found by descending simple-root steps inside the saturation.
+    ignored), in sorted order: the keys of its weight table, the Weyl orbits
+    of the dominant weights below eta.
     """
     eta = tuple(int(x) for x in eta)
     if not datum.is_dominant(eta):
         raise ValueError(f"highest weight {eta} must be dominant")
-    table = datum._q_state.weights
-    cached = table.get(eta)
-    if cached is not None:
-        return cached
-
-    def inside(chi: Vec) -> bool:
-        return _gap(datum, eta, datum.dominant_rep(chi))
-
-    seen = {eta}
-    queue = [eta]
-    head = 0
-    while head < len(queue):
-        chi = queue[head]
-        head += 1
-        for a in datum.simple_roots:
-            for nxt in (vec_sub(chi, a), vec_add(chi, a)):
-                if nxt not in seen and inside(nxt):
-                    seen.add(nxt)
-                    queue.append(nxt)
-    out = tuple(sorted(seen))
-    table[eta] = out
-    return out
+    return _weight_table(datum, eta)[1]
 
 
 # -- the graded comparison across the two sides ----------------------------------------------

@@ -128,6 +128,39 @@ def _lusztig_reference(datum, chi, eta, memo):
     return out
 
 
+def _weights_by_simple_steps(datum, eta):
+    """Reference weight set: a breadth-first walk by simple-root steps up and
+    down from eta, keeping a weight when eta minus its dominant
+    representative is a nonnegative integral combination of simple roots."""
+    def inside(chi):
+        gap = root_coords_int(datum, vec_sub(eta, datum.dominant_rep(chi)))
+        return gap is not None and all(x >= 0 for x in gap)
+
+    seen = {eta}
+    queue = [eta]
+    head = 0
+    while head < len(queue):
+        chi = queue[head]
+        head += 1
+        for a in datum.simple_roots:
+            for nxt in (vec_sub(chi, a), vec_add(chi, a)):
+                if nxt not in seen and inside(nxt):
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return tuple(sorted(seen))
+
+
+def _dominant_box(datum, box):
+    """The dominant weights of a box: by coordinates when X has central
+    directions, otherwise by their simple-coroot pairings (the same box on
+    the presets, whose X is written in fundamental weights)."""
+    if datum.fundamental_group_order() is None:
+        return [eta for eta in itertools.product(range(box + 1), repeat=datum.rank)
+                if datum.is_dominant(eta)]
+    return [datum.weight_from_pairings(p)
+            for p in itertools.product(range(box + 1), repeat=datum.rank)]
+
+
 def test_kostant_goldens(a1, a2):
     assert kostant_q(a1, (0,)) == ONE
     assert kostant_q(a1, (2,)) == LaurentPoly({1: 1})
@@ -243,19 +276,14 @@ def test_deep_freudenthal_needs_no_recursion():
                                        pytest.param(SHEARED_A2, 3, id="A2sheared-3")])
 def test_freudenthal_matches_root_string_walk(name, box):
     datum = load_datum(name)
-    if datum.fundamental_group_order() is None:
-        etas = [eta for eta in itertools.product(range(box + 1), repeat=datum.rank)
-                if datum.is_dominant(eta)]
-    else:   # highest weights by their pairings: the same box on the presets
-        etas = [datum.weight_from_pairings(p)
-                for p in itertools.product(range(box + 1), repeat=datum.rank)]
-    for eta in etas:
+    for eta in _dominant_box(datum, box):
         memo = {}
         for chi in weights_of_irrep(datum, eta):
             assert freudenthal_mult(datum, eta, chi) == _freudenthal_walk(datum, eta, chi, memo)
 
 
-@pytest.mark.parametrize("name, box", [("B2", 2), ("G2", 1)])
+@pytest.mark.parametrize("name, box", [("B2", 2), ("G2", 1), ("A2", 2), ("A1xA1", 1),
+                                       ("GL3", 1)])
 def test_lusztig_matches_per_term_solve(name, box):
     ref = datum_preset(name)
     around = tuple(itertools.product(range(-3, 4), repeat=ref.rank))
@@ -263,10 +291,66 @@ def test_lusztig_matches_per_term_solve(name, box):
              if ref.is_dominant(eta) for chi in weights_of_irrep(ref, eta) + around]
     memo = {}
     want = {case: _lusztig_reference(ref, case[1], case[0], memo) for case in cases}
+    off_lattice = [case for case in cases
+                   if root_coords_int(ref, vec_sub(case[0], case[1])) is None]
+    assert off_lattice or name == "G2"   # G2 has no weights off the root lattice
     for datum in (datum_preset(name), datum_preset(name)):   # each datum starts cold
         for _ in range(2):                                    # then warm
             for eta, chi in cases:
                 assert lusztig_q(datum, chi, eta) == want[eta, chi]
+            for eta, chi in off_lattice:
+                assert lusztig_q(datum, chi, eta) is ZERO
+
+
+@pytest.mark.parametrize("name, eta", [("A2", (1, 1)), ("B2", (2, 1)), ("G2", (1, 1)),
+                                       ("GL3", (2, 1, 0))])
+def test_lusztig_solves_once_and_skips_terms_off_the_cone(monkeypatch, name, eta):
+    datum = datum_preset(name)
+    chis = weights_of_irrep(datum, eta) + tuple(
+        itertools.product(range(-2, 3), repeat=datum.rank))
+    for chi in chis:
+        lusztig_q(datum, chi, eta)                     # warm the tables
+    two_rho = datum.two_rho()
+    top = vec_add(vec_scale(2, eta), two_rho)
+    solves, seen = [], []
+    monkeypatch.setattr(qanalogue, "root_coords_int",
+                        lambda *args: solves.append(args) or root_coords_int(*args))
+    monkeypatch.setattr(qanalogue, "kostant_q",
+                        lambda d, beta: seen.append(tuple(beta)) or kostant_q(d, beta))
+    for chi in chis:
+        solves.clear()
+        seen.clear()
+        lusztig_q(datum, chi, eta)
+        assert len(solves) == 1, chi
+        # exactly the Weyl terms whose argument lies in the cone spanned by
+        # the positive roots are looked up
+        want = []
+        for w in datum.weyl_elements():
+            beta = tuple(x // 2 for x in vec_sub(w.act(top),
+                                                 vec_add(vec_scale(2, chi), two_rho)))
+            rc = root_coords_int(datum, beta)
+            if rc is not None and all(x >= 0 for x in rc):
+                want.append(beta)
+        assert sorted(seen) == sorted(want), chi
+
+
+@pytest.mark.parametrize("name, box", [("A1", 12), ("A2", 7), ("B2", 7), ("G2", 6),
+                                       ("A1xA1", 5), ("GL3", 3), ("B2xA1", 3),
+                                       pytest.param(SHEARED_A2, 7, id="A2sheared-7")])
+def test_weight_table_matches_simple_step_walk(name, box):
+    datum = load_datum(name)
+    for eta in _dominant_box(datum, box):
+        got = weights_of_irrep(datum, eta)
+        assert got == _weights_by_simple_steps(datum, eta), eta
+        reps, keys = qanalogue._weight_table(datum, eta)
+        assert keys is got
+        assert all(reps[chi] == datum.dominant_rep(chi) for chi in got), eta
+
+
+def test_freudenthal_outside_the_weights_is_zero(a2):
+    assert freudenthal_mult(a2, (1, 1), (1, 0)) == 0     # eta - chi off the root lattice
+    assert freudenthal_mult(a2, (1, 1), (2, 2)) == 0     # above the highest weight
+    assert freudenthal_mult(a2, (1, 1), (-4, 2)) == 0    # conjugate of (2, 2)
 
 
 def test_lusztig_at_one_is_multiplicity(a2, b2):

@@ -11,7 +11,7 @@ import pytest
 
 from hsw.affine import min_rep, mul_simple, reduced_word, simple_reflections, translation
 from hsw.hecke import hecke_theta
-from hsw.qanalogue import kostant_q
+from hsw.qanalogue import freudenthal_mult, kostant_q, lusztig_q, weights_of_irrep
 from hsw.rootdata import datum_preset
 from hsw.soergel import bs_module
 from hsw.spherical import canonical_basis
@@ -56,6 +56,9 @@ def _filled_a2():
         canonical_basis(datum, lam)
         hecke_theta(datum, lam)
         kostant_q(datum, lam)
+    for chi in weights_of_irrep(datum, (2, 1)):
+        lusztig_q(datum, chi, (2, 1))
+        freudenthal_mult(datum, (2, 1), chi)
     bs_module(datum, min_rep(datum, (0, 0)), simple_reflections(datum)[:2])
     return datum
 
@@ -70,6 +73,15 @@ def test_copy_and_pickle_keep_the_tables(clone):
         assert canonical_basis(twin, lam) == canonical_basis(datum, lam), lam
         assert canonical_basis(twin, lam).datum is twin
     assert hecke_theta(twin, (1, 1)).to_json() == hecke_theta(datum, (1, 1)).to_json()
+    for table in ("weights", "orbits", "freud"):
+        held = getattr(datum._q_state, table)
+        assert getattr(twin._q_state, table) == held and list(held) == [(2, 1)], table
+    for eta in ((2, 1), (1, 1)):   # held weight and orbit tables, then new ones
+        weights = weights_of_irrep(twin, eta)
+        assert weights == weights_of_irrep(datum, eta)
+        for chi in weights + ((1, 0), (5, 5)):
+            assert freudenthal_mult(twin, eta, chi) == freudenthal_mult(datum, eta, chi)
+            assert lusztig_q(twin, chi, eta) == lusztig_q(datum, chi, eta)
     held = datum._mod_state.validated
     assert held and twin._mod_state.validated.keys() == held.keys()
     m, n = (bs_module(d, min_rep(d, (0, 0)), simple_reflections(d)[:2] * 2) for d in (datum, twin))
