@@ -22,6 +22,7 @@ elements.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 
@@ -73,6 +74,16 @@ class AffineElt:
     def __reduce__(self):
         # a copy hashes by its serial while the datum's tables holding it are copied
         return AffineElt, (self.datum, self.w, self.lam, self._serial)
+
+    def __deepcopy__(self, memo):
+        # copying the datum copies its ``elts`` table, which may hold this
+        # element: then the copy interned there is the answer
+        datum = copy.deepcopy(self.datum, memo)
+        held = memo.get(id(self))
+        if held is None:
+            held = memo[id(self)] = AffineElt(datum, copy.deepcopy(self.w, memo),
+                                              self.lam, self._serial)
+        return held
 
     def __repr__(self) -> str:
         wpart = ".".join(f"s{i + 1}" for i in self.w.reduced_word()) or "e"

@@ -2,10 +2,14 @@
 
 Three layers:
 
-* a q-Kostant partition counter over the positive roots (exact dynamic
-  programming on root-lattice coordinates), memoised by the weight it is
-  asked for, so that a repeated value, zero included, needs no solve for
-  root coordinates,
+* a q-Kostant partition counter over the positive roots, memoised by the
+  weight it is asked for, so that a repeated value, zero included, needs no
+  solve for root coordinates; a new value comes from the two-term
+  recurrence P(i, rem) = P(i + 1, rem) + q P(i, rem - root i) on
+  root-lattice coordinates (partitions into the roots from i on, split by
+  whether root i occurs), filled from one explicit stack (``hsw.worklist``),
+  so each state adds two polynomials and the depth of a chain is not bounded
+  by the recursion limit,
 * the alternating Weyl sum producing the graded multiplicity polynomial of
   a weight inside an irreducible highest-weight module, in root
   coordinates: a table built once per highest weight eta holds, for each w,
@@ -32,13 +36,17 @@ where rho is not a weight; the invariant form takes integer values on
 weights.
 
 Per datum, the tables of ``datum._q_state`` are ``kostant`` and ``partial``
-(the partition counter), ``orbits`` (the alternating sum), ``freud`` and
-``weights`` (the Freudenthal side and ``weights_of_irrep``); its ``once``
-table holds the root-coordinate solver and the Gram matrix of the invariant
-form.
+(the partition counter, ``partial`` keyed by (i, rem) and holding no base
+case), ``orbits`` (the alternating sum), ``freud`` and ``weights`` (the
+Freudenthal side and ``weights_of_irrep``); its ``once`` table holds the
+root-coordinate solver and the Gram matrix of the invariant form.
+``orbits`` and ``freud`` only ever hold a dominant eta, so a call that finds
+eta there answers without the dominance check and the set-up of a cold eta.
 """
 
 from __future__ import annotations
+
+from operator import add, lt, sub
 
 from . import linalg
 from .affine import length_box, min_rep
@@ -94,7 +102,9 @@ def kostant_q(datum: RootDatum, beta) -> LaurentPoly:
     Returns the polynomial sum over unordered decompositions of q^(number of
     parts); zero when beta is not a nonnegative integral root combination.
     Values are memoised by the weight itself, zero ones included, so a
-    repeated call solves no root coordinates.
+    repeated call solves no root coordinates.  A new value is filled by the
+    two-term recurrence of ``_kostant_fill`` from one explicit stack, over
+    the positive roots in root coordinates, highest first.
     """
     st = datum._q_state
     beta = tuple(map(int, beta))
@@ -107,32 +117,57 @@ def kostant_q(datum: RootDatum, beta) -> LaurentPoly:
     else:
         roots = sorted((r.root_coords for r in datum.positive_roots()),
                        key=lambda t: (-sum(t), t))
-        out = _kostant_rec(st.partial, tuple(roots), 0, rc)
+        out = _kostant_fill(st.partial, tuple(roots), rc)
     st.kostant[beta] = out
     return out
 
 
-def _kostant_rec(partial: dict, roots, i: int, rem: Vec) -> LaurentPoly:
-    if not any(rem):
+def _kostant_fill(partial: dict, roots, rc: Vec) -> LaurentPoly:
+    """The value P(0, rc), where P(i, rem) counts the partitions of rem into
+    roots[i:] graded by part count, filled into ``partial`` by the two-term
+    recurrence
+
+        P(i, rem) = P(i + 1, rem) + q P(i, rem - roots[i])
+
+    from one explicit stack (``hsw.worklist``).  P(i, rem) equals P(j, rem)
+    for the first j >= i whose root fits in rem (leaves no coordinate
+    negative), so a state is only ever asked for at such a j (``first``),
+    where its second term is defined.  The base cases P(i, 0) = 1 and
+    P(len(roots), rem) = 0 are answered inside the frame and never stored,
+    and a value whose second term is zero is the first term's object itself.
+    The coefficients are counts, so the sum cancels nothing and its exponent
+    dict becomes the value as it is.
+    """
+    if not any(rc):
         return ONE
-    if i == len(roots):
-        return ZERO
-    key = (i, rem)
-    cached = partial.get(key)
-    if cached is not None:
-        return cached
-    rc = roots[i]
-    kmax = min(rem[j] // rc[j] for j in range(len(rc)) if rc[j])
-    acc: dict[int, int] = {}   # sum over k of q^k times the value at rem - k roots[i]
-    cur = rem
-    for k in range(kmax + 1):
-        if k:
-            cur = tuple(a - b for a, b in zip(cur, rc))
-        for e, a in _kostant_rec(partial, roots, i + 1, cur)._c.items():
-            acc[e + k] = acc.get(e + k, 0) + a
-    total = LaurentPoly(acc)
-    partial[key] = total
-    return total
+    n = len(roots)
+
+    def first(i, rem):
+        while i < n and any(map(lt, rem, roots[i])):
+            i += 1
+        return i
+
+    def steps(key):
+        i, rem = key
+        down = tuple(map(sub, rem, roots[i]))
+        j = first(i + 1, rem)
+        upper = (yield (j, rem)) if j < n else ZERO
+        if any(down):
+            k = first(i, down)
+            if k == n:
+                return upper
+            lower = (yield (k, down))._c
+        else:
+            lower = ONE._c
+        c = dict(upper._c)
+        for e, a in lower.items():
+            c[e + 1] = c.get(e + 1, 0) + a
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._c = c
+        out._hash = None
+        return out
+
+    return fill(partial, (first(0, rc), rc), steps)
 
 
 # -- graded multiplicity ------------------------------------------------------------------
@@ -146,6 +181,8 @@ def _orbit(datum: RootDatum, eta: Vec) -> tuple[tuple[int, Vec, Vec], ...]:
     orbits = datum._q_state.orbits
     orbit = orbits.get(eta)
     if orbit is None:
+        if not datum.is_dominant(eta):
+            raise ValueError(f"highest weight {eta} must be dominant")
         top = vec_add(vec_scale(2, eta), datum.two_rho())
         rows = []
         for w in datum.weyl_elements():
@@ -174,17 +211,16 @@ def lusztig_q(datum: RootDatum, chi, eta) -> LaurentPoly:
     """
     chi = tuple(int(x) for x in chi)
     eta = tuple(int(x) for x in eta)
-    if not datum.is_dominant(eta):
-        raise ValueError(f"highest weight {eta} must be dominant")
+    orbit = _orbit(datum, eta)
     gap = vec_sub(eta, chi)
     g = root_coords_int(datum, gap)
     if g is None:
         return ZERO
     acc: dict[int, int] = {}
-    for odd, diff, rc in _orbit(datum, eta):
-        if any(a + b < 0 for a, b in zip(rc, g)):
+    for odd, diff, rc in orbit:
+        if min(map(add, rc, g)) < 0:
             continue
-        for e, a in kostant_q(datum, vec_add(diff, gap))._c.items():
+        for e, a in kostant_q(datum, tuple(map(add, diff, gap)))._c.items():
             acc[e] = acc.get(e, 0) + (-a if odd else a)
     return LaurentPoly(acc)
 
@@ -256,13 +292,21 @@ def freudenthal_mult(datum: RootDatum, eta, chi) -> int:
     """
     eta = tuple(int(x) for x in eta)
     chi = tuple(int(x) for x in chi)
-    if not datum.is_dominant(eta):
-        raise ValueError(f"highest weight {eta} must be dominant")
-    reps = _weight_table(datum, eta)[0]
+    st = datum._q_state
+    memo = st.freud.get(eta)
+    if memo is None:
+        if not datum.is_dominant(eta):
+            raise ValueError(f"highest weight {eta} must be dominant")
+        reps = _weight_table(datum, eta)[0]
+        memo = st.freud[eta] = {eta: 1}
+    else:
+        reps = st.weights[eta][0]
     dom = reps.get(chi)
     if dom is None:
         return 0
-    memo = datum._q_state.freud.setdefault(eta, {eta: 1})
+    value = memo.get(dom)
+    if value is not None:
+        return value
     roots = datum.positive_roots()
     gram, root_images = _invariant_form(datum)
     top = vec_add(eta, datum.two_rho())

@@ -15,6 +15,7 @@ lattice modulo the coroot lattice is torsion-free.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -173,6 +174,15 @@ class WeylElt:
     def __reduce__(self):
         # a copy hashes by its serial while the datum's tables holding it are copied
         return WeylElt, (self.datum, self.matrix, self._serial)
+
+    def __deepcopy__(self, memo):
+        # copying the datum copies its ``intern`` table, which holds this
+        # element: then the copy interned there is the answer
+        datum = copy.deepcopy(self.datum, memo)
+        held = memo.get(id(self))
+        if held is None:
+            held = memo[id(self)] = WeylElt(datum, self.matrix, self._serial)
+        return held
 
     def __repr__(self) -> str:
         word = ".".join(f"s{i + 1}" for i in self.reduced_word())

@@ -196,6 +196,38 @@ def test_kostant_zero_off_cone_is_remembered(monkeypatch, name, beta):
     assert solves == []
 
 
+@pytest.mark.parametrize("name, box", [("A1", 12), ("A2", 4), ("B2", 4), ("G2", 3),
+                                       ("A1xA1", 3), ("GL3", 3)])
+def test_kostant_two_term_fill_matches_reference(name, box):
+    # every root-coordinate vector of the box, one negative layer included,
+    # and on GL3 the same shifted along its central direction (1, 1, 1)
+    datum = datum_preset(name)
+    shifts = [(0,) * datum.rank] + ([(1, 1, 1), (-2, -2, -2)] if name == "GL3" else [])
+    memo = {}
+    want = {}
+    for rc in itertools.product(range(-1, box + 1), repeat=datum.nsimples):
+        beta = tuple(sum(c * a[k] for c, a in zip(rc, datum.simple_roots))
+                     for k in range(datum.rank))
+        for z in shifts:
+            want[vec_add(beta, z)] = ZERO if any(z) else _kostant_reference(datum, rc, memo)
+    for _ in range(2):   # cold, then warm
+        for beta, value in want.items():
+            assert kostant_q(datum, beta) == value, beta
+    # the base cases P(i, 0) = 1 and P(n, rem) = 0 are never stored
+    n = len(datum.positive_roots())
+    assert all(i < n and any(rem) for i, rem in datum._q_state.partial)
+
+
+def test_deep_kostant_needs_no_recursion():
+    a1 = datum_preset("A1")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        assert kostant_q(a1, (4000,)) == LaurentPoly({2000: 1})
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_root_coords(a2):
     assert root_coords_int(a2, (2, -1)) == (1, 0)
     assert root_coords_int(a2, (1, 1)) == (1, 1)
@@ -345,6 +377,35 @@ def test_weight_table_matches_simple_step_walk(name, box):
         reps, keys = qanalogue._weight_table(datum, eta)
         assert keys is got
         assert all(reps[chi] == datum.dominant_rep(chi) for chi in got), eta
+
+
+@pytest.mark.parametrize("name, eta", [("A2", (1, 1)), ("B2", (2, 1)), ("G2", (1, 1)),
+                                       ("GL3", (2, 1, 0))])
+def test_warm_paths_keep_their_guards(name, eta):
+    datum = datum_preset(name)
+    weights = weights_of_irrep(datum, eta)
+    for _ in range(2):                       # cold, then warm
+        for chi in weights:
+            assert lusztig_q(datum, chi, eta).at_one() == freudenthal_mult(datum, eta, chi)
+    assert list(datum._q_state.freud) == list(datum._q_state.orbits) == [eta]
+    # a Weyl conjugate of the warm highest weight is not dominant
+    bad = datum.simple_reflection(0).act(eta)
+    assert not datum.is_dominant(bad)
+    for chi in (weights[0], bad, eta):
+        with pytest.raises(ValueError):
+            freudenthal_mult(datum, bad, chi)
+        with pytest.raises(ValueError):
+            lusztig_q(datum, chi, bad)
+    # weights outside the table: above the highest weight, and (where X has
+    # them) off the root lattice of eta
+    outside = [vec_add(eta, a) for a in datum.simple_roots]
+    outside += [chi for chi in itertools.product(range(-2, 3), repeat=datum.rank)
+                if root_coords_int(datum, vec_sub(eta, chi)) is None]
+    for chi in outside:
+        assert chi not in weights
+        assert freudenthal_mult(datum, eta, chi) == 0
+        assert lusztig_q(datum, chi, eta) == ZERO
+    assert list(datum._q_state.freud) == list(datum._q_state.orbits) == [eta]
 
 
 def test_freudenthal_outside_the_weights_is_zero(a2):

@@ -106,6 +106,28 @@ def test_copy_and_pickle_a_lone_element(clone):
     assert s_twin.length == 1 and s_twin == s_twin.datum.simple_reflection(0)
 
 
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["deepcopy", "pickle"])
+def test_copy_of_a_lone_element_is_the_interned_one(clone):
+    # the copied datum's tables hold a copy of each interned element; the
+    # copy of the element is that object, not a second one equal to it
+    datum = datum_preset("A2")
+    x = min_rep(datum, (1, -1))
+    mul_simple(x, simple_reflections(datum)[0])
+    twin = clone(x)
+    assert twin is twin.datum._affine_state.elts[twin.w, twin.lam]
+    assert twin is min_rep(twin.datum, (1, -1))
+    assert twin.w is twin.datum._weyl_state.intern[twin.w.matrix]
+    s = datum.simple_reflection(1)
+    s_twin = clone(s)
+    assert s_twin.datum is not datum
+    assert s_twin is s_twin.datum._weyl_state.intern[s.matrix]
+    assert s_twin is s_twin.datum.simple_reflection(1)
+    pair = clone((x, s))      # two elements of one datum share the copied datum
+    assert pair[0].datum is pair[1].datum
+    assert pair[1] is pair[0].datum._weyl_state.intern[s.matrix]
+
+
 def test_misspelt_table_is_an_error():
     # each layer declares its tables; any other name is not a new, empty table
     datum = datum_preset("A1")
