@@ -16,8 +16,8 @@ Per datum, the tables of ``datum._affine_state`` intern the elements
 (``elts``, one object per pair (w, lam), hashed by its serial there, so no two
 elements of a datum share a hash) and memoise generator products
 (``mul_simple``), reduced words (``reduced``) and coset representatives
-(``min_reps``); its ``once`` table holds the generators and the length-zero
-elements.
+(``min_reps``); the generators and the length-zero elements are held in
+``datum._once`` as ``affine_simples`` and ``omegas``.
 """
 
 from __future__ import annotations
@@ -137,12 +137,12 @@ def from_weyl(w: WeylElt) -> AffineElt:
 
 def simple_reflections(datum: RootDatum) -> tuple[SimpleReflection, ...]:
     """Finite simple generators followed by one affine generator per component."""
-    once = datum._affine_state.once
-    if "simples" not in once:
+    once = datum._once
+    if "affine_simples" not in once:
         out: list[SimpleReflection] = []
-        by_vec = {r.vec: r for r in datum.positive_roots()}
-        for i in range(datum.nsimples):
-            root = by_vec[datum.simple_roots[i]]
+        roots = datum.positive_roots()
+        for i, k in enumerate(datum._simple_positions):
+            root = roots[k]
             el = from_weyl(datum.simple_reflection(i))
             out.append(SimpleReflection(f"s{i + 1}", "finite", i, el, root))
         comps = datum.components()
@@ -154,8 +154,8 @@ def simple_reflections(datum: RootDatum) -> tuple[SimpleReflection, ...]:
         for s in out:
             if s.elt.length != 1:
                 raise RuntimeError(f"generator {s.label} has length {s.elt.length}, not 1")
-        once["simples"] = tuple(out)
-    return once["simples"]
+        once["affine_simples"] = tuple(out)
+    return once["affine_simples"]
 
 
 def mul_simple(x: AffineElt, s: SimpleReflection) -> AffineElt:
@@ -242,7 +242,7 @@ def coset_decompose(x: AffineElt) -> tuple[WeylElt, Vec]:
 def omega_elements(datum: RootDatum) -> tuple[AffineElt, ...]:
     """All length-zero elements, when the fundamental group is finite: the
     min_rep(lam) of length zero over lam in ``length_box(datum, 0)``."""
-    once = datum._affine_state.once
+    once = datum._once
     if "omegas" in once:
         return once["omegas"]
     n = datum.fundamental_group_order()

@@ -29,9 +29,10 @@ two factors are ``theta_factors``.  Independence of the splitting is part of
 the verified relation battery, which multiplies by thetas in factored form
 and keeps ``hecke_mul`` as the general product the tests check it against.
 
-Per datum, ``datum._hecke_state`` memoises the inverses of basis symbols
-(``inv_T``, which also serves the bar of a basis symbol) and the thetas
-(``theta``).
+Per datum, ``datum._hecke_state`` memoises the thetas (``theta``).  The
+inverse of a basis symbol, and with it the bar of one, is computed on each
+call: the spherical module holds each bar it projects (``bar_basis``), so a
+table here would be read only once per symbol.
 """
 
 from __future__ import annotations
@@ -147,11 +148,7 @@ def hecke_T(x: AffineElt) -> HeckeElt:
 
 def hecke_inv_T(x: AffineElt) -> HeckeElt:
     """The inverse of the basis symbol T_x."""
-    table = x.datum._hecke_state.inv_T
-    cached = table.get(x)
-    if cached is None:
-        cached = table[x] = hecke_mul_factors(HeckeElt.one(x.datum), ((x, -1),))
-    return cached
+    return hecke_mul_factors(HeckeElt.one(x.datum), ((x, -1),))
 
 
 def hecke_bar_T(x: AffineElt) -> HeckeElt:

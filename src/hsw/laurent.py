@@ -108,18 +108,12 @@ class LaurentPoly:
                 c[e] = b
             else:
                 del c[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        out._hash = None
-        return out
+        return _wrap(c)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {e: -a for e, a in self._c.items()}
-        out._hash = None
-        return out
+        return _wrap({e: -a for e, a in self._c.items()})
 
     def __sub__(self, other: IntLike) -> "LaurentPoly":
         return self + (-LaurentPoly.coerce(other))
@@ -143,10 +137,7 @@ class LaurentPoly:
                     c[e] = s
                 elif e in c:
                     del c[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        out._hash = None
-        return out
+        return _wrap(c)
 
     __rmul__ = __mul__
 
@@ -166,19 +157,13 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """The bar involution v -> v^(-1) (exponent negation)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {-e: a for e, a in self._c.items()}
-        out._hash = None
-        return out
+        return _wrap({-e: a for e, a in self._c.items()})
 
     def substitute_power(self, k: int) -> "LaurentPoly":
         """Substitute v -> v^k for a nonzero integer k."""
         if k == 0:
             raise ValueError("substitution exponent must be nonzero")
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = {k * e: a for e, a in self._c.items()}
-        out._hash = None
-        return out
+        return _wrap({k * e: a for e, a in self._c.items()})
 
     def sym_complete(self) -> "LaurentPoly":
         """The unique bar-invariant g with f - g supported in negative exponents.
@@ -197,7 +182,7 @@ class LaurentPoly:
             elif e > 0:
                 c[e] = c.get(e, 0) + a
                 c[-e] = c.get(-e, 0) + a
-        return LaurentPoly({e: a for e, a in c.items() if a})
+        return _wrap({e: a for e, a in c.items() if a})
 
     # -- comparison and hashing --------------------------------------------------
 
@@ -244,6 +229,15 @@ class LaurentPoly:
         return {str(e): a for e, a in self.items()}
 
 
+def _wrap(c: dict[int, int]) -> LaurentPoly:
+    """The value whose term map is c itself, with no check or copy: c must
+    hold only nonzero int coefficients."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._c = c
+    out._hash = None
+    return out
+
+
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 V = LaurentPoly({1: 1})
@@ -252,7 +246,7 @@ XI = LaurentPoly({1: 1, -1: -1})  # v - v^-1
 
 
 def v_power(k: int) -> LaurentPoly:
-    return LaurentPoly({k: 1})
+    return _wrap({k: 1})
 
 
 def add_xi(a: LaurentPoly, b: LaurentPoly, sign: int = 1) -> LaurentPoly:
@@ -275,10 +269,7 @@ def add_xi(a: LaurentPoly, b: LaurentPoly, sign: int = 1) -> LaurentPoly:
             c[e - 1] = s
         else:
             del c[e - 1]
-    out = LaurentPoly.__new__(LaurentPoly)
-    out._c = c
-    out._hash = None
-    return out
+    return _wrap(c)
 
 
 # -- sparse combinations ------------------------------------------------------------

@@ -103,16 +103,10 @@ class MPoly:
                 c[e] = s
             elif e in c:
                 del c[e]
-        out = MPoly.__new__(MPoly)
-        out.nvars, out._c, out._hash = self.nvars, c, None
-        return out
+        return _wrap(self.nvars, c)
 
     def __neg__(self) -> "MPoly":
-        out = MPoly.__new__(MPoly)
-        out.nvars = self.nvars
-        out._c = {e: -a for e, a in self._c.items()}
-        out._hash = None
-        return out
+        return _wrap(self.nvars, {e: -a for e, a in self._c.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
@@ -121,11 +115,7 @@ class MPoly:
         if isinstance(other, int):
             if not other:
                 return MPoly.zero(self.nvars)
-            out = MPoly.__new__(MPoly)
-            out.nvars = self.nvars
-            out._c = {e: a * other for e, a in self._c.items()}
-            out._hash = None
-            return out
+            return _wrap(self.nvars, {e: a * other for e, a in self._c.items()})
         c: dict[tuple, int] = {}
         for e1, a1 in self._c.items():
             for e2, a2 in other._c.items():
@@ -135,9 +125,7 @@ class MPoly:
                     c[e] = s
                 elif e in c:
                     del c[e]
-        out = MPoly.__new__(MPoly)
-        out.nvars, out._c, out._hash = self.nvars, c, None
-        return out
+        return _wrap(self.nvars, c)
 
     __rmul__ = __mul__
 
@@ -228,6 +216,14 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly({self.nvars}, {dict(self.items())!r})"
+
+
+def _wrap(nvars: int, c: dict[tuple, int]) -> MPoly:
+    """The polynomial whose term map is c itself, with no check or copy: c
+    must hold only nonzero int coefficients on monomials of nvars variables."""
+    out = MPoly.__new__(MPoly)
+    out.nvars, out._c, out._hash = nvars, c, None
+    return out
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[tuple]:

@@ -38,19 +38,21 @@ weights.
 Per datum, the tables of ``datum._q_state`` are ``kostant`` and ``partial``
 (the partition counter, ``partial`` keyed by (i, rem) and holding no base
 case), ``orbits`` (the alternating sum), ``freud`` and ``weights`` (the
-Freudenthal side and ``weights_of_irrep``); its ``once`` table holds the
-root-coordinate solver and the Gram matrix of the invariant form.
+Freudenthal side and ``weights_of_irrep``).  The per-datum constants, the
+root-coordinate solve (det A and adj(A) C for the Cartan matrix A and the
+simple-coroot matrix C) and the Gram matrix of the invariant form, are held
+in ``datum._once`` as ``root_solve`` and ``form``.
 ``orbits`` and ``freud`` only ever hold a dominant eta, so a call that finds
 eta there answers without the dominance check and the set-up of a cold eta.
 """
 
 from __future__ import annotations
 
-from operator import add, lt, sub
+from operator import add, lt, mul, sub
 
 from . import linalg
 from .affine import length_box, min_rep
-from .laurent import ONE, ZERO, LaurentPoly
+from .laurent import ONE, ZERO, LaurentPoly, _wrap
 from .rootdata import (RootDatum, Vec, mat_vec, pair, vec_add, vec_neg,
                        vec_scale, vec_sub)
 from .worklist import fill
@@ -59,37 +61,34 @@ from .worklist import fill
 # -- root-lattice coordinates -------------------------------------------------------
 
 
-def _solver(datum: RootDatum):
-    """Pivot coordinates, determinant and adjugate for expanding vectors in
-    simple roots: the coordinates are adj * vec[pivots] / det."""
-    once = datum._q_state.once
-    if "solver" not in once:
-        rows = [[root[i] for root in datum.simple_roots] for i in range(datum.rank)]
-        pivots: list[int] = []
-        for i in range(datum.rank):
-            if linalg.rank([rows[k] for k in pivots] + [rows[i]]) == len(pivots) + 1:
-                pivots.append(i)
-                if len(pivots) == datum.nsimples:
-                    break
-        det, adj = linalg.inverse([rows[i] for i in pivots])
-        once["solver"] = (tuple(pivots), det, adj)
-    return once["solver"]
-
-
 def root_coords_int(datum: RootDatum, vec) -> Vec | None:
     """Integer coordinates of a vector in the simple roots, or None when it
-    is not an integral combination of them."""
+    is not an integral combination of them.
+
+    The coordinates c of vec = sum c_j alpha_j solve A c = (<vec, alpha_i-check>)_i
+    for the Cartan matrix A, so they are adj(A) C vec / det A with C the
+    simple-coroot matrix; the pair (det A, adj(A) C) is held per datum.  When
+    nsimples equals the rank the coroots see every direction, so integral
+    coordinates always recombine to vec; otherwise the combination is checked.
+    """
     vec = tuple(int(x) for x in vec)
-    pivots, det, adj = _solver(datum)
+    held = datum._once.get("root_solve")
+    if held is None:
+        det, adj = linalg.inverse(datum.cartan_matrix())
+        coroot_cols = tuple(zip(*datum.simple_coroots))
+        solve = tuple(mat_vec(coroot_cols, row) for row in adj)
+        held = datum._once["root_solve"] = (det, solve)
+    det, solve = held
     coords = []
-    for row in adj:
-        q, r = divmod(sum(a * vec[i] for a, i in zip(row, pivots)), det)
+    for row in solve:
+        q, r = divmod(sum(map(mul, row, vec)), det)
         if r:
             return None
         coords.append(q)
-    for i in range(datum.rank):
-        if sum(c * root[i] for c, root in zip(coords, datum.simple_roots)) != vec[i]:
-            return None
+    if datum.nsimples < datum.rank:
+        for i, x in enumerate(vec):
+            if sum(c * root[i] for c, root in zip(coords, datum.simple_roots)) != x:
+                return None
     return tuple(coords)
 
 
@@ -162,10 +161,7 @@ def _kostant_fill(partial: dict, roots, rc: Vec) -> LaurentPoly:
         c = dict(upper._c)
         for e, a in lower.items():
             c[e + 1] = c.get(e + 1, 0) + a
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._c = c
-        out._hash = None
-        return out
+        return _wrap(c)
 
     return fill(partial, (first(0, rc), rc), steps)
 
@@ -222,7 +218,7 @@ def lusztig_q(datum: RootDatum, chi, eta) -> LaurentPoly:
             continue
         for e, a in kostant_q(datum, tuple(map(add, diff, gap)))._c.items():
             acc[e] = acc.get(e, 0) + (-a if odd else a)
-    return LaurentPoly(acc)
+    return _wrap({e: a for e, a in acc.items() if a})
 
 
 # -- Freudenthal oracle -------------------------------------------------------------------
@@ -237,7 +233,7 @@ def _invariant_form(datum: RootDatum) -> tuple:
     on weights, and on each simple component a positive multiple of the
     normalised invariant form, which is all Freudenthal's formula needs.
     """
-    once = datum._q_state.once
+    once = datum._once
     if "form" not in once:
         cov = datum._pos_coroots
         gram = tuple(tuple(sum(c[i] * c[j] for c in cov) for j in range(datum.rank))

@@ -6,7 +6,9 @@ int tuples in the X basis, coweights are int tuples in the dual basis, and
 the pairing is the dot product; X may be in any basis, since a weight with
 given simple-coroot pairings comes from ``RootDatum.weight_from_pairings``.
 Weyl elements act on X by integer matrices; they are interned per datum, and
-their products are memoised in the datum's ``_weyl_state`` tables.
+their products are memoised in the datum's ``_weyl_state`` tables.  Every
+value computed once per datum, by any layer, is held by name in
+``RootDatum._once``; the ``Tables`` of each layer hold only memo tables.
 
 Construction validates the generalized Cartan matrix, finite type (the root
 closure must terminate), and the standing assumption that the coweight
@@ -191,9 +193,9 @@ class WeylElt:
 
 class Tables:
     """Named memo tables of one layer of a datum: one dict per name given,
-    made empty here.  A value that the layer computes once per datum goes
-    into its ``once`` table, by name.  Any other name raises
-    ``AttributeError``, so a misspelt table is an error, not a second table.
+    made empty here.  Any other name raises ``AttributeError``, so a misspelt
+    table is an error, not a second table.  A value computed once per datum
+    is not a table entry: every layer keeps those in ``RootDatum._once``.
     """
 
     def __init__(self, *names: str):
@@ -219,7 +221,11 @@ class RootDatum:
             raise ValueError("all simple roots and coroots must have the same length")
         self.rank: int = ranks.pop()
         self.nsimples: int = len(self.simple_roots)
-        self._once: dict[str, object] = {}   # values computed once, by name
+        # every value computed once per datum, by name, whatever layer needs
+        # it: two_rho, identity, simple_reflections, weyl_elements and
+        # coroot_inverse here; affine_simples and omegas (affine); root_solve
+        # and form (qanalogue); invariants (soergel)
+        self._once: dict[str, object] = {}
         # Weyl elements interned by matrix, and their products keyed by the
         # serials of the two factors
         self._weyl_state = Tables("intern", "mul")
@@ -227,11 +233,11 @@ class RootDatum:
         # module layer's ``validated`` holds the module contents that passed
         # validation); the benchmark's tracer reads these attribute names and
         # table names
-        self._affine_state = Tables("elts", "mul_simple", "reduced", "min_reps", "once")
-        self._hecke_state = Tables("inv_T", "theta")
-        self._sph_state = Tables("coset", "act_simple", "bar_basis", "canonical")
-        self._q_state = Tables("kostant", "partial", "orbits", "freud", "weights", "once")
-        self._mod_state = Tables("twists", "atoms", "chains", "validated", "once")
+        self._affine_state = Tables("elts", "mul_simple", "reduced", "min_reps")
+        self._hecke_state = Tables("theta")
+        self._sph_state = Tables("act_simple", "bar_basis", "canonical")
+        self._q_state = Tables("kostant", "partial", "orbits", "freud", "weights")
+        self._mod_state = Tables("twists", "atoms", "chains", "validated")
         self._validate()
 
     # -- validation -------------------------------------------------------------

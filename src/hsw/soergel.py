@@ -14,7 +14,7 @@ wall crossings (rank two over the invariants of one reflection), and, in
 rank one, to the affine wall crossing.  Chains are built by tensoring atoms
 left to right.  Each atom and each chain is built once per datum, in the
 tables ``atoms``, ``twists`` and ``chains`` of ``datum._mod_state`` (the
-invariants are in its ``once`` table): a chain is the tensor of the longest
+invariants are held in ``datum._once``): a chain is the tensor of the longest
 prefix chain already held with one atom per remaining letter.  Each distinct
 module is validated once per datum: the table ``validated`` holds the
 contents (generator degrees, wall operators, left tables) that passed.
@@ -32,7 +32,7 @@ import operator
 from . import linalg
 from .affine import AffineElt, SimpleReflection
 from .laurent import ONE, ZERO, LaurentPoly, v_power
-from .mpoly import MPoly, monomials_of_degree
+from .mpoly import MPoly, _wrap, monomials_of_degree
 from .rootdata import RootDatum
 
 
@@ -61,7 +61,7 @@ def fundamental_invariants(datum: RootDatum) -> tuple[MPoly, ...]:
     the rank and the degree product equals the Weyl group order; both are
     asserted.
     """
-    once = datum._mod_state.once
+    once = datum._once
     if "invariants" in once:
         return once["invariants"]
     n = datum.rank
@@ -162,9 +162,7 @@ def _pm_scalar(n: int, p: MPoly) -> PolyMatrix:
 
 def _mpoly_of(nvars: int, c: dict) -> MPoly:
     """Wrap an accumulated coefficient dict, dropping cancelled monomials."""
-    out = MPoly.__new__(MPoly)
-    out.nvars, out._c, out._hash = nvars, {e: a for e, a in c.items() if a}, None
-    return out
+    return _wrap(nvars, {e: a for e, a in c.items() if a})
 
 
 def _pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

@@ -19,9 +19,10 @@ explicit stack (``hsw.worklist``), not from Python recursion.  The former
 algorithm, which starts from the whole chain of C_s factors, is kept as
 ``canonical_basis_reference``, the oracle of the ``canonical`` check.
 
-Per datum, ``datum._sph_state`` memoises coset decompositions (``coset``),
-the action of C_s on a basis symbol (``act_simple``), the bar of a basis
-symbol (``bar_basis``) and the canonical elements (``canonical``).
+Per datum, ``datum._sph_state`` memoises the action of C_s on a basis
+symbol (``act_simple``), the bar of a basis symbol (``bar_basis``) and the
+canonical elements (``canonical``).  A coset decomposition is not memoised:
+it is one held ``min_rep`` and a difference of lengths.
 """
 
 from __future__ import annotations
@@ -35,18 +36,12 @@ from .rootdata import RootDatum, Vec
 from .worklist import fill
 
 
-def _coset(x: AffineElt) -> tuple[int, Vec]:
-    """(l(u), lam) for the decomposition x = u * m_lam."""
-    table = x.datum._sph_state.coset
-    cached = table.get(x)
-    if cached is not None:
-        return cached
-    m = min_rep(x.datum, x.lam)
-    ulen = x.length - m.length
+def _coset(x: AffineElt) -> int:
+    """l(u) for the decomposition x = u * m_lam, where lam = x.lam."""
+    ulen = x.length - min_rep(x.datum, x.lam).length
     if ulen < 0:
         raise RuntimeError("coset decomposition violated length additivity")
-    cached = table[x] = (ulen, x.lam)
-    return cached
+    return ulen
 
 
 class SphElt(Combination):
@@ -85,8 +80,8 @@ def sph_project(h: HeckeElt) -> SphElt:
     """Project from the algebra: T_x -> v^{l(u)} m_lam for x = u * m_lam."""
     acc: dict[Vec, LaurentPoly] = {}
     for x, c in h._m.items():
-        ulen, lam = _coset(x)
-        add_into(acc, ((lam, c),), v_power(ulen) if ulen else None)
+        ulen = _coset(x)
+        add_into(acc, ((x.lam, c),), v_power(ulen) if ulen else None)
     return SphElt(h.datum, acc)
 
 
@@ -111,8 +106,7 @@ def _act_cs(m: SphElt, s: SimpleReflection) -> SphElt:
         if cached is None:
             w = min_rep(datum, lam)
             ws = mul_simple(w, s)
-            ulen, mu = _coset(ws)
-            cached = {mu: v_power(ulen)}
+            cached = {ws.lam: v_power(_coset(ws))}
             if ws.length < w.length:
                 add_into(cached, ((lam, XI),))
             table[key] = cached

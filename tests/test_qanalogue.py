@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hsw import qanalogue
+from hsw import linalg, qanalogue
 from hsw.laurent import ONE, ZERO, LaurentPoly
 from hsw.qanalogue import (_invariant_form, dominant_weights_by_length, freudenthal_mult,
                            kato_check, kato_grid, kostant_q, lusztig_q,
@@ -232,6 +232,52 @@ def test_root_coords(a2):
     assert root_coords_int(a2, (2, -1)) == (1, 0)
     assert root_coords_int(a2, (1, 1)) == (1, 1)
     assert root_coords_int(a2, (1, 0)) is None
+    # GL3: the pairings of (1, 1, 1) with both coroots vanish, so only the
+    # check of the combination tells a central part from zero
+    gl3 = datum_preset("GL3")
+    assert root_coords_int(gl3, (0, 0, 0)) == (0, 0)
+    assert root_coords_int(gl3, (1, -1, 0)) == (1, 0)
+    for vec in ((1, 1, 1), (-2, -2, -2), (2, 0, 1), (1, 0, 0)):
+        assert root_coords_int(gl3, vec) is None, vec
+
+
+def _pivot_search_coords(datum, vec):
+    """Reference root coordinates by the former solver: pick rows of the
+    simple-root matrix that raise its rank, invert that square block, then
+    check the combination in every coordinate."""
+    rows = [[root[i] for root in datum.simple_roots] for i in range(datum.rank)]
+    pivots = []
+    for i in range(datum.rank):
+        if linalg.rank([rows[k] for k in pivots] + [rows[i]]) == len(pivots) + 1:
+            pivots.append(i)
+            if len(pivots) == datum.nsimples:
+                break
+    det, adj = linalg.inverse([rows[i] for i in pivots])
+    coords = []
+    for row in adj:
+        q, r = divmod(sum(a * vec[i] for a, i in zip(row, pivots)), det)
+        if r:
+            return None
+        coords.append(q)
+    for i in range(datum.rank):
+        if sum(c * root[i] for c, root in zip(coords, datum.simple_roots)) != vec[i]:
+            return None
+    return tuple(coords)
+
+
+@pytest.mark.parametrize("name, box", [("A1", 8), ("A2", 5), ("B2", 5), ("G2", 5),
+                                       ("A1xA1", 5), ("GL3", 3), ("GL4", 2),
+                                       ("B2xA1", 3), (SHEARED_A2, 5)])
+def test_root_coords_match_pivot_search(name, box):
+    # every vector of the box in X, cold then warm; only the reference
+    # searches for pivot rows
+    datum = load_datum(name)
+    vecs = list(itertools.product(range(-box, box + 1), repeat=datum.rank))
+    want = {vec: _pivot_search_coords(datum, vec) for vec in vecs}
+    assert any(c is not None for c in want.values())
+    for _ in range(2):
+        for vec, coords in want.items():
+            assert root_coords_int(datum, vec) == coords, vec
 
 
 def test_lusztig_goldens(a1, a2):

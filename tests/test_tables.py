@@ -9,11 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from hsw.affine import min_rep, mul_simple, reduced_word, simple_reflections, translation
+from hsw.affine import (min_rep, mul_simple, omega_elements, reduced_word, simple_reflections,
+                        translation)
 from hsw.hecke import hecke_theta
-from hsw.qanalogue import freudenthal_mult, kostant_q, lusztig_q, weights_of_irrep
+from hsw.qanalogue import (_invariant_form, freudenthal_mult, kostant_q, lusztig_q,
+                           root_coords_int, weights_of_irrep)
 from hsw.rootdata import datum_preset
-from hsw.soergel import bs_module
+from hsw.soergel import bs_module, fundamental_invariants
 from hsw.spherical import canonical_basis
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -128,10 +130,32 @@ def test_copy_of_a_lone_element_is_the_interned_one(clone):
     assert pair[1] is pair[0].datum._weyl_state.intern[s.matrix]
 
 
+def test_per_datum_constants_live_in_one_table():
+    # every layer keeps its values computed once per datum in ``_once``, and
+    # a second call returns the held object
+    datum = datum_preset("A1")
+    calls = {
+        "affine_simples": lambda: simple_reflections(datum),
+        "omegas": lambda: omega_elements(datum),
+        "root_solve": lambda: root_coords_int(datum, (2,)),
+        "form": lambda: _invariant_form(datum),
+        "invariants": lambda: fundamental_invariants(datum),
+    }
+    for key, call in calls.items():
+        first = call()
+        assert key in datum._once, key
+        if key != "root_solve":
+            assert call() is first is datum._once[key], key
+
+
 def test_misspelt_table_is_an_error():
     # each layer declares its tables; any other name is not a new, empty table
     datum = datum_preset("A1")
     assert type(datum._affine_state.elts) is dict
-    for state, name in (("_affine_state", "elt"), ("_sph_state", "once"), ("_q_state", "orbit")):
+    # the deleted ``once`` tables (per-datum constants live in ``_once``) and
+    # the deleted ``inv_T`` and ``coset`` memo tables are gone, not empty
+    for state, name in (("_affine_state", "elt"), ("_sph_state", "once"), ("_q_state", "orbit"),
+                        ("_affine_state", "once"), ("_q_state", "once"), ("_mod_state", "once"),
+                        ("_hecke_state", "inv_T"), ("_sph_state", "coset")):
         with pytest.raises(AttributeError):
             getattr(getattr(datum, state), name)
