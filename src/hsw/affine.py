@@ -205,10 +205,15 @@ def min_rep(datum: RootDatum, lam) -> AffineElt:
     negative and |p| at every other one, the least possible term by term.
     The result is checked to have no finite left descent (l(s_i m) > l(m) for
     every finite s_i), which holds for the shortest element of W m and for no
-    other.
+    other.  A plain tuple is looked up as it is; anything else, and a tuple
+    not yet in the table, is normalised with int() first.
     """
-    lam = tuple(int(x) for x in lam)
     table = datum._affine_state.min_reps
+    if type(lam) is tuple:
+        cached = table.get(lam)
+        if cached is not None:
+            return cached
+    lam = tuple(int(x) for x in lam)
     cached = table.get(lam)
     if cached is not None:
         return cached

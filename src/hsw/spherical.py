@@ -2,36 +2,50 @@
 
 The module has a basis m_lam indexed by weights, one for each Iwahori orbit
 on the affine Grassmannian; ``SphElt`` is the sparse-combination core of
-``hsw.laurent`` over that basis, and every sum here accumulates through its
-``add_into``.  The projection sends a standard basis symbol T_x with
-x = u * m (u finite, m the shortest element of its translation coset) to
-v^{l(u)} m_lam.  Characters of Bott-Samelson type are built by acting with
-C_s = T_s + v^-1 on the basepoint m_0, an optional length-zero twist in
-front.
+``hsw.laurent`` over that basis.  The projection sends a standard basis
+symbol T_x with x = u * m (u finite, m the shortest element of its
+translation coset) to v^{l(u)} m_lam.  Characters of Bott-Samelson type are
+built by acting with C_s = T_s + v^-1 on the basepoint m_0, an optional
+length-zero twist in front.
 
 The canonical basis is computed by Soergel's recursion (Represent. Theory 1
 (1997), sections 3-4).  If the reduced word of w_lam is (omega, s_1 ... s_k),
 its prefix w_lam s_k is the representative of a weight lam' of length
 k - 1, and the element at lam' times C_{s_k} is bar-invariant with top term
 m_lam; symmetrized coefficients at lower terms are then stripped until every
-off-top coefficient lies in v^-1 Z[v^-1].  Shorter elements come from an
-explicit stack (``hsw.worklist``), not from Python recursion.  The former
-algorithm, which starts from the whole chain of C_s factors, is kept as
-``canonical_basis_reference``, the oracle of the ``canonical`` check.
+off-top coefficient lies in v^-1 Z[v^-1].  The letter s_k is the first
+generator, in label order, that is a right descent of w_lam, so no reduced
+word is built.  Shorter elements come from an explicit stack
+(``hsw.worklist``), not from Python recursion.
+
+The inner loop works on one map weight -> {exponent: coefficient}: C_s acts
+on a basis symbol by two exponent shifts, the strip subtracts from that one
+map in place, with the weights still to clear in a heap (highest (length,
+weight) first), and the values become Laurent polynomials only at the end.
+``decompose_bs`` clears a chain the same way.  The former algorithm, which
+starts from the whole chain of C_s factors and strips whole elements with a
+rescan after each subtraction, is kept as ``canonical_basis_reference``, the
+oracle of the ``canonical`` check.
 
 Per datum, ``datum._sph_state`` memoises the action of C_s on a basis
-symbol (``act_simple``), the bar of a basis symbol (``bar_basis``) and the
-canonical elements (``canonical``).  A coset decomposition is not memoised:
-it is one held ``min_rep`` and a difference of lengths.
+symbol (``act_simple``: for (lam, s) the weight mu of w_lam s, the shift
+l(u) of its term, and the exponent +1 or -1 of the term at lam), the bar of
+a basis symbol (``bar_basis``) and the canonical elements (``canonical``).
+A coset decomposition is not memoised: it is one held ``min_rep`` and a
+difference of lengths.
 """
 
 from __future__ import annotations
 
+import heapq
 from functools import partial
+from operator import neg
 
-from .affine import AffineElt, SimpleReflection, min_rep, mul_simple, reduced_word
+from .affine import (AffineElt, SimpleReflection, min_rep, mul_simple, reduced_word,
+                     simple_reflections)
 from .hecke import HeckeElt, hecke_T, hecke_bar_T, hecke_mul
-from .laurent import ONE, V_INV, XI, ZERO, Combination, LaurentPoly, add_into, v_power
+from .laurent import (ONE, V_INV, ZERO, Combination, LaurentPoly, _wrap, add_into,
+                      v_power)
 from .rootdata import RootDatum, Vec
 from .worklist import fill
 
@@ -58,10 +72,10 @@ class SphElt(Combination):
 
     def _order(self, lam: Vec):
         """Terms sort by descending (l(w_lam), lam): leading term first."""
-        return (-min_rep(self.datum, lam).length, tuple(-x for x in lam))
+        return (-min_rep(self.datum, lam).length, tuple(map(neg, lam)))
 
     def _label(self, lam: Vec) -> str:
-        return "m[" + ",".join(str(x) for x in lam) + "]"
+        return "m[" + ",".join(map(str, lam)) + "]"
 
     def __mul__(self, other):
         if isinstance(other, HeckeElt):
@@ -95,33 +109,72 @@ def sph_act(m: SphElt, h: HeckeElt) -> SphElt:
     return SphElt(datum, acc)
 
 
-def _act_cs(m: SphElt, s: SimpleReflection) -> SphElt:
-    """Act by C_s = T_s + v^-1, with the basis action cached per weight."""
-    datum = m.datum
+def _shift_into(acc: dict, key, f: dict, k: int, a: int = 1) -> None:
+    """acc[key] += a * v^k * f on exponent maps, in place.  f is only read; a
+    new key gets a fresh map, and a key whose map cancels is dropped."""
+    t = acc.get(key)
+    if t is None:
+        acc[key] = {e + k: a * x for e, x in f.items()}
+        return
+    for e, x in f.items():
+        e += k
+        y = t.get(e, 0) + a * x
+        if y:
+            t[e] = y
+        else:
+            del t[e]
+    if not t:
+        del acc[key]
+
+
+def _wrap_terms(datum: RootDatum, terms: dict) -> SphElt:
+    """The element whose weight -> exponent map is terms, the maps kept as they are."""
+    return SphElt(datum, {lam: _wrap(f) for lam, f in terms.items()})
+
+
+def _act_terms(datum: RootDatum, terms, s: SimpleReflection) -> dict:
+    """The weight -> exponent map of (sum of terms) * C_s, where C_s = T_s + v^-1
+    and terms are (weight, exponent map) pairs.
+
+    m_lam T_s is v^k m_mu for w_lam s = u * m_mu with l(u) = k, plus
+    (v - v^-1) m_lam when s is a descent of w_lam; with the v^-1 of C_s the
+    coefficient at lam is then v, and v^-1 otherwise.  So each term is two
+    shifts, and ``act_simple`` holds (mu, k, +-1) per (lam, s).
+    """
     table = datum._sph_state.act_simple
-    acc: dict[Vec, LaurentPoly] = {}
-    for lam, c in m._m.items():
+    acc: dict = {}
+    for lam, f in terms:
         key = (lam, s.label)
-        cached = table.get(key)
-        if cached is None:
+        hit = table.get(key)
+        if hit is None:
             w = min_rep(datum, lam)
             ws = mul_simple(w, s)
-            cached = {ws.lam: v_power(_coset(ws))}
-            if ws.length < w.length:
-                add_into(cached, ((lam, XI),))
-            table[key] = cached
-        add_into(acc, (*cached.items(), (lam, V_INV)), c)
-    return SphElt(datum, acc)
+            hit = table[key] = (ws.lam, _coset(ws), 1 if ws.length < w.length else -1)
+        mu, k, e = hit
+        _shift_into(acc, mu, f, k)
+        _shift_into(acc, lam, f, e)
+    return acc
+
+
+def _act_cs(m: SphElt, s: SimpleReflection) -> SphElt:
+    """Act by C_s = T_s + v^-1, with the basis action cached per weight."""
+    terms = ((lam, c._c) for lam, c in m._m.items())
+    return _wrap_terms(m.datum, _act_terms(m.datum, terms, s))
+
+
+def _chain_terms(datum: RootDatum, omega: AffineElt, word) -> dict:
+    """The weight -> exponent map of the chain (omega, word)."""
+    if omega.length != 0:
+        raise ValueError("the twist in front of a generator chain must have length zero")
+    terms = {omega.lam: {0: 1}}
+    for s in word:
+        terms = _act_terms(datum, terms.items(), s)
+    return terms
 
 
 def bs_char(datum: RootDatum, omega: AffineElt, word) -> SphElt:
     """The module character of the twisted generator chain (omega, word)."""
-    if omega.length != 0:
-        raise ValueError("the twist in front of a generator chain must have length zero")
-    m = SphElt.basis(datum, omega.lam)
-    for s in word:
-        m = _act_cs(m, s)
-    return m
+    return _wrap_terms(datum, _chain_terms(datum, omega, word))
 
 
 def fl_bs_char(datum: RootDatum, word) -> HeckeElt:
@@ -136,13 +189,16 @@ def fl_bs_char(datum: RootDatum, word) -> HeckeElt:
 
 def sph_pairing(a: SphElt, b: SphElt) -> LaurentPoly:
     """The bilinear-after-bar pairing: sum over weights of bar(c) * bar(d)."""
-    out = ZERO
+    out: dict[int, int] = {}
     small, big = (a, b) if len(a._m) <= len(b._m) else (b, a)
     for lam, c in small._m.items():
         d = big._m.get(lam)
         if d is not None:
-            out = out + c.bar() * d.bar()
-    return out
+            for e1, x in c._c.items():
+                for e2, y in d._c.items():
+                    e = -e1 - e2
+                    out[e] = out.get(e, 0) + x * y
+    return _wrap({e: x for e, x in out.items() if x})
 
 
 def hom_rank(datum: RootDatum, left: tuple, right: tuple) -> LaurentPoly:
@@ -188,8 +244,9 @@ def canonical_basis(datum: RootDatum, lam) -> SphElt:
 def canonical_basis_reference(datum: RootDatum, weights) -> dict[Vec, SphElt]:
     """The canonical elements at the given weights by the full-chain algorithm.
 
-    Each start is the chain character of a whole reduced word of w_lam; the
-    strip is the same as in canonical_basis.  The memo lives for this call
+    Each start is the chain character of a whole reduced word of w_lam, and
+    the strip is its own (``_strip_reference``), which subtracts whole
+    elements and rescans after each subtraction.  The memo lives for this call
     only: it never reads or fills the datum's table, so the result is an
     oracle for canonical_basis.
     """
@@ -200,31 +257,87 @@ def canonical_basis_reference(datum: RootDatum, weights) -> dict[Vec, SphElt]:
 
 
 def _prefix_steps(datum: RootDatum, lam: Vec):
-    """Frame of canonical_basis at lam (see hsw.worklist)."""
+    """Frame of canonical_basis at lam (see hsw.worklist).
+
+    The last letter of ``reduced_word(w_lam)`` is the first generator, in
+    label order, that is a right descent of w_lam; it is read off directly.
+    """
     w = min_rep(datum, lam)
-    _, word = reduced_word(w)
-    if not word:
-        start = SphElt.basis(datum, lam)
+    if not w.length:
+        cur = {lam: {0: 1}}
     else:
-        s = word[-1]
-        p = mul_simple(w, s)
-        if p.length != len(word) - 1 or min_rep(datum, p.lam) != p:
+        for s in simple_reflections(datum):
+            p = mul_simple(w, s)
+            if p.length < w.length:
+                break
+        else:
+            raise RuntimeError(f"no descent found at positive length for {w!r}")
+        if p.length != w.length - 1 or min_rep(datum, p.lam) != p:
             raise RuntimeError(f"the prefix {p!r} of the reduced word at {lam} "
                                f"is not the representative of {p.lam}")
-        start = _act_cs((yield p.lam), s)
-    return (yield from _strip(datum, lam, start))
+        prev = yield p.lam
+        cur = _act_terms(datum, ((mu, c._c) for mu, c in prev._m.items()), s)
+    return (yield from _strip(datum, lam, cur))
 
 
 def _chain_steps(datum: RootDatum, lam: Vec):
     """Frame of canonical_basis_reference at lam (see hsw.worklist)."""
     om, word = reduced_word(min_rep(datum, lam))
-    return (yield from _strip(datum, lam, bs_char(datum, om, word)))
+    return (yield from _strip_reference(datum, lam, bs_char(datum, om, word)))
 
 
-def _strip(datum: RootDatum, lam: Vec, cur: SphElt):
+def _queue_entry(datum: RootDatum, mu: Vec) -> tuple:
+    """Heap key of mu: the highest (l(w_mu), mu) pops first."""
+    return (-min_rep(datum, mu).length, tuple(map(neg, mu)), mu)
+
+
+def _strip(datum: RootDatum, lam: Vec, cur: dict):
     """Subtract symmetrized multiples of lower elements from a bar-invariant
     start with top term m_lam, highest bad term first; yields each lower
-    weight whose element it needs."""
+    weight whose element it needs.
+
+    cur is the start's weight -> exponent map, changed in place.  A weight
+    is bad when its map has an exponent >= 0.  The bad weights wait in a
+    heap; a subtraction at mu changes only weights below mu, so each weight
+    it makes bad is queued then, and the pops come in the order of a rescan.
+    """
+    top_len = min_rep(datum, lam).length
+    heap = [_queue_entry(datum, mu) for mu, f in cur.items() if mu != lam and max(f) >= 0]
+    heapq.heapify(heap)
+    queued = {entry[2] for entry in heap}
+    while heap:
+        neg_len, _, mu = heapq.heappop(heap)
+        f = cur.get(mu)
+        if f is None or max(f) < 0:
+            continue
+        if -neg_len >= top_len:
+            raise RuntimeError(
+                f"triangularity failed at {mu} (length {-neg_len} >= {top_len})")
+        # the symmetrization of f: f_0 + sum over e > 0 of f_e (v^e + v^-e)
+        g = {}
+        for e, a in f.items():
+            if e >= 0:
+                g[e] = g[-e] = a
+        # the element at mu has its lower coefficients in v^-1 Z[v^-1], so
+        # with a constant g no other weight turns bad
+        reach = max(g)
+        for nu, c in (yield mu)._m.items():
+            for k, a in g.items():
+                _shift_into(cur, nu, c._c, k, -a)
+            if reach and nu not in queued and nu != lam:
+                h = cur.get(nu)
+                if h is not None and max(h) >= 0:
+                    heapq.heappush(heap, _queue_entry(datum, nu))
+                    queued.add(nu)
+    if cur.get(lam) != {0: 1}:
+        raise RuntimeError(f"leading coefficient at {lam} is "
+                           f"{LaurentPoly(cur.get(lam, {}))}, not 1")
+    return _wrap_terms(datum, cur)
+
+
+def _strip_reference(datum: RootDatum, lam: Vec, cur: SphElt):
+    """The strip of canonical_basis_reference: the same subtractions as
+    ``_strip``, made on whole elements with a rescan after each one."""
     top_len = min_rep(datum, lam).length
     while True:
         bad = [(min_rep(datum, mu).length, mu, f)
@@ -246,15 +359,28 @@ def decompose_bs(datum: RootDatum, omega: AffineElt, word) -> dict[Vec, LaurentP
     """Expand a generator chain over the canonical basis (characteristic 0).
 
     Returns the multiplicity map weight -> Laurent coefficient; the chain
-    equals the sum of coefficient * canonical element over the map.
+    equals the sum of coefficient * canonical element over the map.  The
+    chain's terms sit in one exponent map and its weights in a heap, as in
+    ``_strip``; the highest is cleared first.
     """
-    rest = bs_char(datum, omega, word)
+    rest = _chain_terms(datum, omega, word)
+    heap = [_queue_entry(datum, mu) for mu in rest]
+    heapq.heapify(heap)
+    queued = set(rest)
     out: dict[Vec, LaurentPoly] = {}
-    while rest:
-        blen, mu = max((min_rep(datum, mu).length, mu) for mu in rest._m)
-        f = rest.coeff(mu)
-        out[mu] = f
-        rest = rest - canonical_basis(datum, mu).scale(f)
-        if mu in rest._m:
+    while heap:
+        mu = heapq.heappop(heap)[2]
+        f = rest.get(mu)
+        if f is None:
+            continue
+        f = dict(f)     # the subtraction below clears rest[mu] in place
+        out[mu] = _wrap(f)
+        for nu, c in canonical_basis(datum, mu)._m.items():
+            for k, a in f.items():
+                _shift_into(rest, nu, c._c, k, -a)
+            if nu not in queued:
+                heapq.heappush(heap, _queue_entry(datum, nu))
+                queued.add(nu)
+        if mu in rest:
             raise RuntimeError("decomposition failed to clear the leading term")
     return out

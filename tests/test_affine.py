@@ -114,6 +114,24 @@ def test_min_rep_is_minimum():
             assert m.w.act(lam) == datum.dominant_rep(lam)
 
 
+def test_min_rep_inputs_share_one_element():
+    """A list, a tuple and a tuple of other integer types reach the same
+    interned element, whether the table held the weight before or not."""
+    for name in PRESETS:
+        datum = datum_preset(name)
+        for lam in itertools.product(range(-2, 3), repeat=datum.rank):
+            first = min_rep(datum, list(lam))
+            assert first.lam == lam and type(first.lam[0]) is int
+            assert min_rep(datum, lam) is first
+            assert min_rep(datum, tuple(bool(x) if x in (0, 1) else x for x in lam)) is first
+            assert min_rep(datum, list(lam)) is first
+        fresh = datum_preset(name)
+        lam = (3,) * fresh.rank
+        by_floats = min_rep(fresh, tuple(float(x) for x in lam))
+        assert by_floats.lam == lam and type(by_floats.lam[0]) is int
+        assert min_rep(fresh, lam) is by_floats
+
+
 @pytest.mark.parametrize("name", PRESETS)
 def test_length_matches_root_by_root_formula(name):
     datum = datum_preset(name)

@@ -4,12 +4,14 @@ import sys
 
 import pytest
 
-from hsw.affine import (affine_identity, min_rep, omega_elements,
-                        reduced_word, simple_reflections, translation)
-from hsw.hecke import hecke_T, hecke_mul
-from hsw.laurent import ONE, ZERO, LaurentPoly, v_power
+from hsw.affine import (affine_identity, length_box, min_rep, mul_simple,
+                        omega_elements, reduced_word, simple_reflections,
+                        translation)
+from hsw.hecke import HeckeElt, hecke_T, hecke_mul
+from hsw.laurent import ONE, V_INV, ZERO, LaurentPoly, v_power
 from hsw.rootdata import datum_preset
-from hsw.spherical import (SphElt, bs_char, canonical_basis,
+from hsw.spherical import (SphElt, _act_cs, _prefix_steps, _strip,
+                           _strip_reference, bs_char, canonical_basis,
                            canonical_basis_reference, decompose_bs, fl_bs_char,
                            hom_rank, m_zero, sph_act, sph_bar, sph_pairing,
                            sph_project)
@@ -107,6 +109,85 @@ def test_a1_closed_form(a1):
         assert canonical_basis(a1, (n,)) == _a1_closed_form(a1, n)
 
 
+def test_a1_closed_form_far_out():
+    a1 = datum_preset("A1")
+    for n in (200, -200):
+        assert canonical_basis(a1, (n,)) == _a1_closed_form(a1, n)
+
+
+def _box_weights(datum):
+    """length_box(datum, 3), or the cube -2..2 where the grid is infinite."""
+    if datum.fundamental_group_order() is None:
+        return list(itertools.product(range(-2, 3), repeat=datum.rank))
+    return length_box(datum, 3)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A1xA1", "GL3"])
+def test_act_cs_matches_the_algebra_action(name):
+    """The cached C_s action on a basis symbol against m_lam * (T_s + v^-1)
+    through the T-basis, for every generator, affine ones included."""
+    datum = datum_preset(name)
+    one = HeckeElt.one(datum)
+    for s in simple_reflections(datum):
+        cs = hecke_T(s.elt) + one.scale(V_INV)
+        for lam in _box_weights(datum):
+            m = SphElt.basis(datum, lam)
+            assert _act_cs(m, s) == sph_act(m, cs), (name, lam, s.label)
+        m = SphElt(datum, {lam: LaurentPoly({k % 3 - 1: k + 1})
+                           for k, lam in enumerate(_box_weights(datum)[:7])})
+        assert _act_cs(m, s) == sph_act(m, cs), (name, s.label)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A1xA1", "GL3"])
+def test_prefix_letter_is_the_last_letter_of_the_reduced_word(name):
+    """The frame at lam first asks for the weight of w_lam s, where s is the
+    last letter of reduced_word(w_lam)."""
+    datum = datum_preset(name)
+    for lam in _box_weights(datum):
+        w = min_rep(datum, lam)
+        _, word = reduced_word(w)
+        frame = _prefix_steps(datum, lam)
+        if not word:
+            with pytest.raises(StopIteration):
+                next(frame)
+            continue
+        assert next(frame) == mul_simple(w, word[-1]).lam, (name, lam)
+
+
+def _drive(datum, frame):
+    """Run a strip frame to its end, answering each weight it asks for."""
+    try:
+        need = next(frame)
+        while True:
+            need = frame.send(canonical_basis(datum, need))
+    except StopIteration as done:
+        return done.value
+
+
+def test_strip_queues_the_weights_a_subtraction_makes_bad(a1):
+    # clearing v at (1,) subtracts (v + v^-1) * C(1), which puts -1 at (-1,)
+    start = {(3,): {0: 1}, (1,): {1: 1}}
+    got = _drive(a1, _strip(a1, (3,), start))
+    assert got == SphElt(a1, {(3,): ONE, (1,): LaurentPoly({-1: -1}),
+                              (-1,): LaurentPoly({-2: -1})})
+
+
+def test_strip_matches_the_rescan_strip(a1, a2):
+    """Both strips on starts that are not bar invariant, so that a
+    subtraction can make a lower weight bad."""
+    rng = random.Random(5)
+    for datum, lam in ((a1, (6,)), (a1, (-5,)), (a2, (2, 1)), (a2, (-1, 3))):
+        top = min_rep(datum, lam).length
+        lower = [mu for mu in length_box(datum, top) if min_rep(datum, mu).length < top]
+        for _ in range(20):
+            start = {lam: {0: 1}}
+            for mu in rng.sample(lower, 4):
+                start[mu] = {e: rng.choice((-2, -1, 1, 2)) for e in rng.sample(range(-2, 3), 2)}
+            want = _drive(datum, _strip_reference(datum, lam, SphElt(
+                datum, {mu: LaurentPoly(f) for mu, f in start.items()})))
+            assert _drive(datum, _strip(datum, lam, start)) == want
+
+
 def test_deep_canonical_needs_no_recursion():
     a1 = datum_preset("A1")
     limit = sys.getrecursionlimit()
@@ -136,6 +217,50 @@ def test_decompose_golden_and_reassembly(a1, a2):
                     assert c.is_nonnegative()
                     acc = acc + canonical_basis(datum, mu).scale(c)
                 assert acc == bs_char(datum, om, word)
+
+
+def _decompose_by_rescan(datum, omega, word):
+    """The subtract-and-rescan loop that decompose_bs replaced: clear the
+    highest (length, weight) left after each subtraction."""
+    rest = bs_char(datum, omega, word)
+    out = {}
+    while rest:
+        _, mu = max((min_rep(datum, mu).length, mu) for mu in rest._m)
+        f = rest.coeff(mu)
+        out[mu] = f
+        rest = rest - canonical_basis(datum, mu).scale(f)
+        assert mu not in rest._m
+    return out
+
+
+def test_decompose_matches_the_rescan_loop():
+    for name, k in (("A2", 5), ("B2", 4), ("G2", 4)):
+        datum = datum_preset(name)
+        for lam in weights_by_length(datum, k):
+            chain = reduced_word(min_rep(datum, lam))
+            want = _decompose_by_rescan(datum, *chain)
+            assert list(decompose_bs(datum, *chain).items()) == list(want.items()), (name, lam)
+    a2 = datum_preset("A2")
+    gens = simple_reflections(a2)
+    for word in itertools.product(gens, repeat=3):
+        for om in omega_elements(a2):
+            want = _decompose_by_rescan(a2, om, word)
+            assert list(decompose_bs(a2, om, word).items()) == list(want.items())
+
+
+def test_pairing_is_the_sum_of_barred_products():
+    """sph_pairing against its definition, term by term, on every pair of
+    chains (omega, word) with words of length <= 2."""
+    for name in ("A1", "A2"):
+        datum = datum_preset(name)
+        gens = simple_reflections(datum)
+        words = [()] + [(x,) for x in gens] + [(x, y) for x in gens for y in gens]
+        chars = [bs_char(datum, om, word) for om in omega_elements(datum) for word in words]
+        for a, b in itertools.product(chars, repeat=2):
+            want = ZERO
+            for lam, c in a.items():
+                want = want + c.bar() * b.coeff(lam).bar()
+            assert sph_pairing(a, b) == want
 
 
 def test_hom_rank_goldens(a1):
