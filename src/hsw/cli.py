@@ -10,6 +10,11 @@ both as ``word@weight``, meaning the word times the translation.
 Exit status: 0 on success, 1 when a verification-style command finds a
 failing case, 2 on argument or input errors, 3 when an internal invariant
 check fails (a bug, reported as one ``internal error:`` line).
+
+With two CPUs, ``verify`` runs its checks in two processes: a forked worker
+runs the module-side checks while this process runs the ``T``-basis checks.
+``time=`` is each check's wall time in its own process; reports keep the
+requested order and the exit statuses are unchanged.
 """
 
 from __future__ import annotations
@@ -233,8 +238,11 @@ def _cmd_oracle_check(ns, datum: RootDatum) -> int:
 
 
 def _cmd_verify(ns, datum: RootDatum) -> int:
-    if ns.checks:
+    if ns.checks is not None:
         names = [c.strip() for c in ns.checks.split(",") if c.strip()]
+        if not names:
+            raise ValueError(f"--checks {ns.checks!r} names no check; "
+                             f"known: {', '.join(CHECKS)}")
     else:
         names = list(CHECKS)
         if datum.fundamental_group_order() is None:

@@ -9,6 +9,7 @@ asserts on them.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import time
 
@@ -306,19 +307,95 @@ CHECKS = {
 
 FAST_CHECKS = ("quadratic", "length", "projection", "pushforward", "modules")
 
+# the graded-module side; the other checks are the T-basis side
+MODULE_CHECKS = frozenset({"canonical", "kato", "multiplicity", "oracle", "modules"})
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_jobs(datum: RootDatum, jobs, knobs):
+    """Yield (position, report) per (position, name) job, in order, and
+    (position, exception) for the first job that raises; then stop."""
+    for pos, name in jobs:
+        try:
+            yield pos, CHECKS[name](datum, **knobs.get(name, {}))
+        except Exception as exc:
+            yield pos, exc
+            return
+
+
+def _run_forked(datum: RootDatum, here, there, knobs) -> dict:
+    """Run the jobs ``there`` in a forked worker while this process runs the
+    jobs ``here``; return position -> report or exception for both sides.
+
+    The worker pickles one pair per job through a pipe and leaves through
+    ``os._exit``; a job whose pair does not arrive has no result.  The
+    worker is reaped before this returns, or killed and reaped when this
+    process raises first.
+    """
+    import pickle
+    import signal
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(rfd)
+            with os.fdopen(wfd, "wb") as pipe:
+                for pair in _run_jobs(datum, there, knobs):
+                    pipe.write(pickle.dumps(pair))
+                    pipe.flush()
+        finally:
+            os._exit(0)
+    os.close(wfd)
+    done = False
+    try:
+        with os.fdopen(rfd, "rb") as pipe:
+            results = dict(_run_jobs(datum, here, knobs))
+            while True:
+                try:
+                    pos, value = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # end, or a cut pair
+                    break
+                results[pos] = value
+        done = True
+    finally:
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    return results
+
 
 def run_suite(datum: RootDatum, names=None, **knobs) -> list[dict]:
     """Run the named checks (all by default) with per-check keyword knobs.
 
     knobs maps a check name to a dict of keyword arguments for it, for
-    example run_suite(d, bernstein={"box": 2}).
+    example run_suite(d, bernstein={"box": 2}).  With two CPUs and
+    ``os.fork``, one forked worker runs the ``MODULE_CHECKS`` while this
+    process runs the rest; reports keep the requested order either way.
+    The first check in that order that raised raises here.
     """
     if names is None:
         names = list(CHECKS)
-    reports = []
     for name in names:
-        fn = CHECKS.get(name)
-        if fn is None:
+        if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
-        reports.append(fn(datum, **knobs.get(name, {})))
+    jobs = list(enumerate(names))
+    there = [job for job in jobs if job[1] in MODULE_CHECKS]
+    here = [job for job in jobs if job[1] not in MODULE_CHECKS]
+    if here and there and hasattr(os, "fork") and _cpu_count() > 1:
+        results = _run_forked(datum, here, there, knobs)
+    else:
+        results = dict(_run_jobs(datum, jobs, knobs))
+    reports = []
+    for pos, name in jobs:
+        if pos not in results:
+            raise RuntimeError(f"the verify worker ended without a result for {name!r}")
+        if isinstance(results[pos], Exception):
+            raise results[pos]
+        reports.append(results[pos])
     return reports

@@ -1,7 +1,10 @@
 import json
+import os
+import signal
 
 import pytest
 
+import hsw.verify
 from hsw.cli import main
 
 
@@ -126,6 +129,14 @@ def test_negative_count_is_input_error(capsys, args):
     assert "must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("checks", [",", ""])
+def test_checks_naming_no_check_is_input_error(capsys, checks):
+    rc, out, err = run(capsys, ["verify", "--datum", "A1", "--checks", checks])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_unknown_datum_is_input_error(capsys):
     rc, _, err = run(capsys, ["length", "--datum", "NOPE"])
     assert rc == 2
@@ -167,3 +178,70 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert out == ""
     assert err == "internal error: Freudenthal recursion produced a non-integer\n"
     assert "Traceback" not in err
+
+
+# -- a module-side check that fails in the forked worker ------------------------------
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """Force the forked worker; afterwards no child process may be left,
+    and a hang ends in an alarm instead of a stuck run."""
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    monkeypatch.setattr(hsw.verify, "_cpu_count", lambda: 2)
+
+    class Hung(BaseException):
+        """Not an Exception, so no handler on the way up catches it."""
+
+    def hung(signum, frame):
+        raise Hung("verify hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield monkeypatch
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raising(exc):
+    def check(datum, **knobs):
+        raise exc
+    return check
+
+
+@pytest.mark.parametrize("exc, rc, err", [
+    (RuntimeError("worker invariant broke"), 3, "internal error: worker invariant broke\n"),
+    (ValueError("worker input rejected"), 2, "error: worker input rejected\n"),
+])
+def test_worker_error_exit_status(capsys, worker, exc, rc, err):
+    worker.setitem(hsw.verify.CHECKS, "kato", _raising(exc))
+    got = run(capsys, ["verify", "--datum", "A1", "--checks", "quadratic,kato"])
+    assert got == (rc, "", err)
+
+
+def test_worker_that_exits_early_is_internal_error(capsys, worker):
+    parent = os.getpid()
+
+    def vanish(datum, **knobs):
+        if os.getpid() == parent:
+            raise AssertionError("kato ran in the parent process")
+        os._exit(0)
+
+    worker.setitem(hsw.verify.CHECKS, "kato", vanish)
+    rc, out, err = run(capsys, ["verify", "--datum", "A1", "--checks", "quadratic,kato"])
+    assert (rc, out) == (3, "")
+    assert err.startswith("internal error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("checks, rc, err", [
+    ("kato,quadratic", 2, "error: module side\n"),
+    ("quadratic,kato", 3, "internal error: T side\n"),
+])
+def test_first_raising_check_in_order_decides(capsys, worker, checks, rc, err):
+    worker.setitem(hsw.verify.CHECKS, "kato", _raising(ValueError("module side")))
+    worker.setitem(hsw.verify.CHECKS, "quadratic", _raising(RuntimeError("T side")))
+    got = run(capsys, ["verify", "--datum", "A1", "--checks", checks])
+    assert got == (rc, "", err)

@@ -1,12 +1,21 @@
+import os
+from pathlib import Path
+
+import pytest
+
+import hsw.verify
 from hsw.laurent import v_power
-from hsw.rootdata import datum_preset
+from hsw.rootdata import datum_preset, load_datum
 from hsw.spherical import SphElt
-from hsw.verify import (CHECKS, FAST_CHECKS, check_canonical, check_oracle,
-                        run_suite, weights_by_length)
+from hsw.verify import (CHECKS, FAST_CHECKS, MODULE_CHECKS, check_canonical,
+                        check_oracle, run_suite, weights_by_length)
+
+SHEARED = str(Path(__file__).parent / "data" / "a2_sheared.json")
 
 
 def test_registry_names():
     assert set(FAST_CHECKS) <= set(CHECKS)
+    assert MODULE_CHECKS < set(CHECKS)
     assert "bernstein" in CHECKS and "kato" in CHECKS and "oracle" in CHECKS
 
 
@@ -61,3 +70,46 @@ def test_knobs_reach_checks(a1):
     reports = run_suite(a1, ["length"], length={"max_len": 2})
     assert reports[0]["checked"] > 0
     assert reports[0]["pass"] is True
+
+
+def _suite(monkeypatch, spec, cpus, names=None):
+    """run_suite on a fresh datum with the CPU query patched, and how often
+    it forked; the reports lose their timings."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(hsw.verify, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted)
+    datum = load_datum(spec)
+    if names is None:
+        names = [n for n in CHECKS if datum.fundamental_group_order() is not None
+                 or n not in ("canonical", "kato")]
+    reports = run_suite(datum, names)
+    for r in reports:
+        del r["seconds"]
+    return reports, len(forks)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("spec", ["A1", "A2", "B2", "G2", "A1xA1", "GL3",
+                                  pytest.param(SHEARED, id="a2_sheared")])
+def test_worker_matches_one_cpu(monkeypatch, spec):
+    forked, forks = _suite(monkeypatch, spec, 2)
+    alone, none = _suite(monkeypatch, spec, 1)
+    assert (forks, none) == (1, 0)
+    assert forked == alone
+    assert all(r["pass"] for r in forked)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("names", [["bernstein", "bernstein"],
+                                   ["kato", "bernstein", "kato", "quadratic"]])
+def test_repeated_checks_keep_their_rows(monkeypatch, names):
+    forked, _ = _suite(monkeypatch, "A1", 2, names)
+    alone, _ = _suite(monkeypatch, "A1", 1, names)
+    assert [r["name"] for r in forked] == names
+    assert forked == alone
