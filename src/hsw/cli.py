@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .affine import (AffineElt, affine_identity, min_rep, parse_weight,
                      parse_word, reduced_word, translation, word_elt)
@@ -29,7 +30,8 @@ from .hecke import HeckeElt, hecke_mul, hecke_T, hecke_theta
 from .laurent import LaurentPoly
 from .qanalogue import kato_check, kato_grid, lusztig_q
 from .rootdata import RootDatum, load_datum
-from .spherical import bs_char, canonical_basis, decompose_bs, hom_rank, sph_pairing
+from .spherical import (basis_order, bs_char, canonical_basis, decompose_bs, hom_rank,
+                        sph_pairing)
 from .verify import CHECKS, run_suite
 
 
@@ -186,7 +188,7 @@ def _cmd_decompose(ns, datum: RootDatum) -> int:
     omega = _omega_of(datum, ns.omega)
     word = _word(datum, ns.word)
     mults = decompose_bs(datum, omega, word)
-    order = sorted(mults, key=lambda lam: (min_rep(datum, lam).length, lam), reverse=True)
+    order = sorted(mults, key=partial(basis_order, datum))
     payload = {"terms": [{"weight": list(lam), "mult": mults[lam].to_json()} for lam in order]}
     lines = [f"b[{listed(lam)}]: {mults[lam]}" for lam in order] or ["0"]
     _emit(ns, payload, lines)

@@ -203,14 +203,26 @@ class Tables:
             setattr(self, name, {})
 
 
+def _int_vectors(rows, what: str) -> tuple[Vec, ...]:
+    """rows as integer tuples.  Any entry that is not an int is a ValueError:
+    2.9 is not truncated to 2, and neither "2" nor true is read as a number.
+    """
+    if isinstance(rows, (list, tuple)) and all(
+            isinstance(r, (list, tuple))
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in r)
+            for r in rows):
+        return tuple(tuple(r) for r in rows)
+    raise ValueError(f"{what} must be lists of integers, got {rows!r}")
+
+
 class RootDatum:
     """A finite-type root datum with torsion-free coweight quotient."""
 
     def __init__(self, simple_roots: Sequence[Sequence[int]],
                  simple_coroots: Sequence[Sequence[int]],
                  name: str = "custom"):
-        self.simple_roots: tuple[Vec, ...] = tuple(tuple(int(x) for x in r) for r in simple_roots)
-        self.simple_coroots: tuple[Vec, ...] = tuple(tuple(int(x) for x in r) for r in simple_coroots)
+        self.simple_roots: tuple[Vec, ...] = _int_vectors(simple_roots, "simple roots")
+        self.simple_coroots: tuple[Vec, ...] = _int_vectors(simple_coroots, "simple coroots")
         self.name = name
         if len(self.simple_roots) != len(self.simple_coroots):
             raise ValueError("simple roots and coroots must come in equal number")
@@ -417,11 +429,6 @@ class RootDatum:
                     break
             else:
                 return lam, word
-
-    def dominant_rep(self, lam: Sequence[int]) -> Vec:
-        """The dominant Weyl-orbit representative of a weight: the end of the
-        chamber walk."""
-        return self.chamber_walk(lam)[0]
 
     # -- structure -------------------------------------------------------------------
 

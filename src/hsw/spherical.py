@@ -22,10 +22,11 @@ The inner loop works on one map weight -> {exponent: coefficient}: C_s acts
 on a basis symbol by two exponent shifts, the strip subtracts from that one
 map in place, with the weights still to clear in a heap (highest (length,
 weight) first), and the values become Laurent polynomials only at the end.
-``decompose_bs`` clears a chain the same way.  The former algorithm, which
-starts from the whole chain of C_s factors and strips whole elements with a
-rescan after each subtraction, is kept as ``canonical_basis_reference``, the
-oracle of the ``canonical`` check.
+``decompose_bs`` clears a chain the same way.  Terms, heaps and the
+``decompose`` verb share one order, ``basis_order``.  The ``canonical``
+check of ``hsw.verify`` tests the characterization in ``canonical_basis``
+with the bar taken through the T-basis (``sph_bar``), which shares no code
+with the C_s action.
 
 Per datum, ``datum._sph_state`` memoises the action of C_s on a basis
 symbol (``act_simple``: for (lam, s) the weight mu of w_lam s, the shift
@@ -41,8 +42,7 @@ import heapq
 from functools import partial
 from operator import neg
 
-from .affine import (AffineElt, SimpleReflection, min_rep, mul_simple, reduced_word,
-                     simple_reflections)
+from .affine import AffineElt, SimpleReflection, min_rep, mul_simple, simple_reflections
 from .hecke import HeckeElt, hecke_T, hecke_bar_T, hecke_mul
 from .laurent import (ONE, V_INV, ZERO, Combination, LaurentPoly, _wrap, add_into,
                       v_power)
@@ -58,6 +58,11 @@ def _coset(x: AffineElt) -> int:
     return ulen
 
 
+def basis_order(datum: RootDatum, lam: Vec) -> tuple:
+    """Sort key of m_lam: ascending keys run through descending (l(w_lam), lam)."""
+    return (-min_rep(datum, lam).length, tuple(map(neg, lam)))
+
+
 class SphElt(Combination):
     """A finite Laurent-combination of basis symbols m_lam."""
 
@@ -71,8 +76,8 @@ class SphElt(Combination):
         return self._m.get(tuple(lam), ZERO)
 
     def _order(self, lam: Vec):
-        """Terms sort by descending (l(w_lam), lam): leading term first."""
-        return (-min_rep(self.datum, lam).length, tuple(map(neg, lam)))
+        """Terms sort in the basis order: leading term first."""
+        return basis_order(self.datum, lam)
 
     def _label(self, lam: Vec) -> str:
         return "m[" + ",".join(map(str, lam)) + "]"
@@ -156,12 +161,6 @@ def _act_terms(datum: RootDatum, terms, s: SimpleReflection) -> dict:
     return acc
 
 
-def _act_cs(m: SphElt, s: SimpleReflection) -> SphElt:
-    """Act by C_s = T_s + v^-1, with the basis action cached per weight."""
-    terms = ((lam, c._c) for lam, c in m._m.items())
-    return _wrap_terms(m.datum, _act_terms(m.datum, terms, s))
-
-
 def _chain_terms(datum: RootDatum, omega: AffineElt, word) -> dict:
     """The weight -> exponent map of the chain (omega, word)."""
     if omega.length != 0:
@@ -241,21 +240,6 @@ def canonical_basis(datum: RootDatum, lam) -> SphElt:
                 partial(_prefix_steps, datum))
 
 
-def canonical_basis_reference(datum: RootDatum, weights) -> dict[Vec, SphElt]:
-    """The canonical elements at the given weights by the full-chain algorithm.
-
-    Each start is the chain character of a whole reduced word of w_lam, and
-    the strip is its own (``_strip_reference``), which subtracts whole
-    elements and rescans after each subtraction.  The memo lives for this call
-    only: it never reads or fills the datum's table, so the result is an
-    oracle for canonical_basis.
-    """
-    memo: dict[Vec, SphElt] = {}
-    steps = partial(_chain_steps, datum)
-    return {lam: fill(memo, lam, steps)
-            for lam in (tuple(int(x) for x in weight) for weight in weights)}
-
-
 def _prefix_steps(datum: RootDatum, lam: Vec):
     """Frame of canonical_basis at lam (see hsw.worklist).
 
@@ -280,15 +264,9 @@ def _prefix_steps(datum: RootDatum, lam: Vec):
     return (yield from _strip(datum, lam, cur))
 
 
-def _chain_steps(datum: RootDatum, lam: Vec):
-    """Frame of canonical_basis_reference at lam (see hsw.worklist)."""
-    om, word = reduced_word(min_rep(datum, lam))
-    return (yield from _strip_reference(datum, lam, bs_char(datum, om, word)))
-
-
 def _queue_entry(datum: RootDatum, mu: Vec) -> tuple:
-    """Heap key of mu: the highest (l(w_mu), mu) pops first."""
-    return (-min_rep(datum, mu).length, tuple(map(neg, mu)), mu)
+    """Heap entry of mu: the leading weight in the basis order pops first."""
+    return (basis_order(datum, mu), mu)
 
 
 def _strip(datum: RootDatum, lam: Vec, cur: dict):
@@ -304,20 +282,17 @@ def _strip(datum: RootDatum, lam: Vec, cur: dict):
     top_len = min_rep(datum, lam).length
     heap = [_queue_entry(datum, mu) for mu, f in cur.items() if mu != lam and max(f) >= 0]
     heapq.heapify(heap)
-    queued = {entry[2] for entry in heap}
+    queued = {entry[1] for entry in heap}
     while heap:
-        neg_len, _, mu = heapq.heappop(heap)
+        key, mu = heapq.heappop(heap)
         f = cur.get(mu)
         if f is None or max(f) < 0:
             continue
-        if -neg_len >= top_len:
+        if -key[0] >= top_len:
             raise RuntimeError(
-                f"triangularity failed at {mu} (length {-neg_len} >= {top_len})")
+                f"triangularity failed at {mu} (length {-key[0]} >= {top_len})")
         # the symmetrization of f: f_0 + sum over e > 0 of f_e (v^e + v^-e)
-        g = {}
-        for e, a in f.items():
-            if e >= 0:
-                g[e] = g[-e] = a
+        g = _wrap(f).sym_complete()._c
         # the element at mu has its lower coefficients in v^-1 Z[v^-1], so
         # with a constant g no other weight turns bad
         reach = max(g)
@@ -335,26 +310,6 @@ def _strip(datum: RootDatum, lam: Vec, cur: dict):
     return _wrap_terms(datum, cur)
 
 
-def _strip_reference(datum: RootDatum, lam: Vec, cur: SphElt):
-    """The strip of canonical_basis_reference: the same subtractions as
-    ``_strip``, made on whole elements with a rescan after each one."""
-    top_len = min_rep(datum, lam).length
-    while True:
-        bad = [(min_rep(datum, mu).length, mu, f)
-               for mu, f in cur._m.items()
-               if mu != lam and not f.in_v_inverse()]
-        if not bad:
-            break
-        blen, mu, f = max(bad, key=lambda t: (t[0], t[1]))
-        if blen >= top_len:
-            raise RuntimeError(
-                f"triangularity failed at {mu} (length {blen} >= {top_len})")
-        cur = cur - (yield mu).scale(f.sym_complete())
-    if cur.coeff(lam) != ONE:
-        raise RuntimeError(f"leading coefficient at {lam} is {cur.coeff(lam)}, not 1")
-    return cur
-
-
 def decompose_bs(datum: RootDatum, omega: AffineElt, word) -> dict[Vec, LaurentPoly]:
     """Expand a generator chain over the canonical basis (characteristic 0).
 
@@ -369,7 +324,7 @@ def decompose_bs(datum: RootDatum, omega: AffineElt, word) -> dict[Vec, LaurentP
     queued = set(rest)
     out: dict[Vec, LaurentPoly] = {}
     while heap:
-        mu = heapq.heappop(heap)[2]
+        mu = heapq.heappop(heap)[1]
         f = rest.get(mu)
         if f is None:
             continue

@@ -19,8 +19,8 @@ from .hecke import hecke_mul, hecke_T, verify_bernstein, verify_quadratic_all
 from .laurent import ONE, LaurentPoly, v_power
 from .qanalogue import freudenthal_mult, kato_grid, lusztig_q, weights_of_irrep
 from .rootdata import RootDatum
-from .spherical import (bs_char, canonical_basis, canonical_basis_reference,
-                        decompose_bs, fl_bs_char, sph_act, sph_bar, sph_project)
+from .spherical import (bs_char, canonical_basis, decompose_bs, fl_bs_char, sph_act,
+                        sph_bar, sph_project)
 
 
 def _twists(datum: RootDatum):
@@ -98,27 +98,30 @@ def weights_by_length(datum: RootDatum, max_len: int) -> list:
 
 
 def check_canonical(datum: RootDatum, max_len: int = 3) -> dict:
-    """Shape of the bar-invariant basis on all weights up to a length bound.
+    """The canonical basis on all weights up to a length bound, against the
+    properties that determine it.
 
-    For each weight: agreement with the full-chain reference algorithm,
-    bar-invariance, unitriangularity with strictly lower terms in negative
-    powers only, nonnegative coefficients, and a nonnegative expansion of
-    the corresponding chain character.
+    For each weight: bar-invariance, the leading coefficient 1, and lower
+    terms at strictly shorter weights with coefficients in v^-1 Z[v^-1].
+    These determine the element: as the bar of m_mu is m_mu plus shorter
+    terms, the difference of two such elements has a bar-invariant
+    coefficient in v^-1 Z[v^-1] at a longest weight, which is 0.  The bar
+    comes from the T-basis (``sph_bar``), not from the C_s action.  A weight
+    that fails either of the first two is not tested further.  On top:
+    nonnegative coefficients and chain multiplicities.
     """
     started = time.perf_counter()
     bad = []
     weights = weights_by_length(datum, max_len)
-    reference = canonical_basis_reference(datum, weights)
     for lam in weights:
         b = canonical_basis(datum, lam)
-        if b != reference[lam]:
-            bad.append(f"{lam}: differs from the full-chain reference")
         if sph_bar(b) != b:
             bad.append(f"{lam}: not bar invariant")
             continue
         top_len = min_rep(datum, lam).length
         if b.coeff(lam) != ONE:
             bad.append(f"{lam}: leading coefficient {b.coeff(lam)}")
+            continue
         for mu in b.support():
             if mu == lam:
                 continue
@@ -304,8 +307,6 @@ CHECKS = {
     "oracle": check_oracle,
     "modules": check_modules,
 }
-
-FAST_CHECKS = ("quadratic", "length", "projection", "pushforward", "modules")
 
 # the graded-module side; the other checks are the T-basis side
 MODULE_CHECKS = frozenset({"canonical", "kato", "multiplicity", "oracle", "modules"})

@@ -111,7 +111,7 @@ def test_min_rep_is_minimum():
             assert lengths[0][0] < lengths[1][0], (name, lam)
             m = min_rep(datum, lam)
             assert (m.length, m.w.matrix, m.lam) == (*lengths[0], lam), (name, lam)
-            assert m.w.act(lam) == datum.dominant_rep(lam)
+            assert m.w.act(lam) == datum.chamber_walk(lam)[0]
 
 
 def test_min_rep_inputs_share_one_element():

@@ -143,6 +143,15 @@ def test_unknown_datum_is_input_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("entry", [2.9, "2", True])
+def test_non_integer_datum_entry_is_input_error(capsys, tmp_path, entry):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"simple_roots": [[entry]], "simple_coroots": [[1]]}))
+    rc, out, err = run(capsys, ["length", "--datum", str(path)])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_bad_weight_is_input_error(capsys):
     rc, _, err = run(capsys, ["canonical-basis", "--datum", "A1",
                               "--lambda", "1,1"])

@@ -75,7 +75,7 @@ def _freudenthal_walk(datum, eta, chi, memo):
             k = 1
             while True:
                 mu = vec_add(chip, vec_scale(k, r.vec))
-                mup = datum.dominant_rep(mu)
+                mup = datum.chamber_walk(mu)[0]
                 if below(mup) is None:
                     break
                 m = yield mup
@@ -87,7 +87,7 @@ def _freudenthal_walk(datum, eta, chi, memo):
         return val
 
     memo.setdefault(eta, 1)
-    return fill(memo, datum.dominant_rep(chi), mult)
+    return fill(memo, datum.chamber_walk(chi)[0], mult)
 
 
 def _kostant_reference(datum, rc, memo):
@@ -133,7 +133,7 @@ def _weights_by_simple_steps(datum, eta):
     down from eta, keeping a weight when eta minus its dominant
     representative is a nonnegative integral combination of simple roots."""
     def inside(chi):
-        gap = root_coords_int(datum, vec_sub(eta, datum.dominant_rep(chi)))
+        gap = root_coords_int(datum, vec_sub(eta, datum.chamber_walk(chi)[0]))
         return gap is not None and all(x >= 0 for x in gap)
 
     seen = {eta}
@@ -422,7 +422,7 @@ def test_weight_table_matches_simple_step_walk(name, box):
         assert got == _weights_by_simple_steps(datum, eta), eta
         reps, keys = qanalogue._weight_table(datum, eta)
         assert keys is got
-        assert all(reps[chi] == datum.dominant_rep(chi) for chi in got), eta
+        assert all(reps[chi] == datum.chamber_walk(chi)[0] for chi in got), eta
 
 
 @pytest.mark.parametrize("name, eta", [("A2", (1, 1)), ("B2", (2, 1)), ("G2", (1, 1)),

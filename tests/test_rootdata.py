@@ -97,8 +97,8 @@ def test_dominant_rep(b2):
     for w in b2.weyl_elements():
         lam = (2, -1)
         moved = w.act(lam)
-        assert b2.dominant_rep(moved) == b2.dominant_rep(lam)
-    assert b2.is_dominant(b2.dominant_rep((-3, 1)))
+        assert b2.chamber_walk(moved)[0] == b2.chamber_walk(lam)[0]
+    assert b2.is_dominant(b2.chamber_walk((-3, 1))[0])
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -111,7 +111,6 @@ def test_chamber_walk(name):
         for i in word:
             u = u * d.simple_reflection(i)
         assert d.is_dominant(dom) and u.act(dom) == lam
-        assert dom == d.dominant_rep(lam)
         assert len(word) == u.length
         assert u.length == min(w.length for w in d.weyl_elements() if w.act(dom) == lam)
 
@@ -149,6 +148,15 @@ def test_validation_rejects_bad_input():
         # dependent simple roots
         datum_from_json({"name": "bad", "simple_roots": [[2], [-2]],
                          "simple_coroots": [[1], [-1]]})
+
+
+@pytest.mark.parametrize("entry", [2.9, "2", True])
+def test_non_integer_entry_rejected(entry):
+    # int() would read 2.9 and "2" as 2 and true as 1, a valid A1
+    with pytest.raises(ValueError, match="integers"):
+        datum_from_json({"simple_roots": [[entry]], "simple_coroots": [[1]]})
+    with pytest.raises(ValueError, match="integers"):
+        datum_from_json({"simple_roots": [[2]], "simple_coroots": [[entry]]})
 
 
 def test_affine_cartan_diverges():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from functools import partial
 
 import pytest
 
@@ -10,12 +11,11 @@ from hsw.affine import (affine_identity, length_box, min_rep, mul_simple,
 from hsw.hecke import HeckeElt, hecke_T, hecke_mul
 from hsw.laurent import ONE, V_INV, ZERO, LaurentPoly, v_power
 from hsw.rootdata import datum_preset
-from hsw.spherical import (SphElt, _act_cs, _prefix_steps, _strip,
-                           _strip_reference, bs_char, canonical_basis,
-                           canonical_basis_reference, decompose_bs, fl_bs_char,
-                           hom_rank, m_zero, sph_act, sph_bar, sph_pairing,
-                           sph_project)
+from hsw.spherical import (SphElt, _act_terms, _prefix_steps, _strip, bs_char,
+                           canonical_basis, decompose_bs, fl_bs_char, hom_rank,
+                           m_zero, sph_act, sph_bar, sph_pairing, sph_project)
 from hsw.verify import weights_by_length
+from hsw.worklist import fill
 
 
 def test_bs_char_goldens(a1):
@@ -72,6 +72,47 @@ def test_canonical_bar_invariant_and_triangular(a1, a2):
                 assert c.in_v_inverse()
 
 
+def canonical_basis_reference(datum, weights):
+    """The canonical elements at the given weights by the full-chain algorithm.
+
+    Each start is the chain character of a whole reduced word of w_lam, and
+    the strip is its own (``_strip_reference``), which subtracts whole
+    elements and rescans after each subtraction.  The memo lives for this call
+    only: it never reads or fills the datum's table, so the result is an
+    oracle for canonical_basis.
+    """
+    memo = {}
+    steps = partial(_chain_steps, datum)
+    return {lam: fill(memo, lam, steps)
+            for lam in (tuple(int(x) for x in weight) for weight in weights)}
+
+
+def _chain_steps(datum, lam):
+    """Frame of canonical_basis_reference at lam (see hsw.worklist)."""
+    om, word = reduced_word(min_rep(datum, lam))
+    return (yield from _strip_reference(datum, lam, bs_char(datum, om, word)))
+
+
+def _strip_reference(datum, lam, cur):
+    """The strip of canonical_basis_reference: the same subtractions as
+    ``_strip``, made on whole elements with a rescan after each one."""
+    top_len = min_rep(datum, lam).length
+    while True:
+        bad = [(min_rep(datum, mu).length, mu, f)
+               for mu, f in cur._m.items()
+               if mu != lam and not f.in_v_inverse()]
+        if not bad:
+            break
+        blen, mu, f = max(bad, key=lambda t: (t[0], t[1]))
+        if blen >= top_len:
+            raise RuntimeError(
+                f"triangularity failed at {mu} (length {blen} >= {top_len})")
+        cur = cur - (yield mu).scale(f.sym_complete())
+    if cur.coeff(lam) != ONE:
+        raise RuntimeError(f"leading coefficient at {lam} is {cur.coeff(lam)}, not 1")
+    return cur
+
+
 def test_fast_path_matches_full_chain_reference():
     grids = [("A1", [(k,) for k in range(-40, 41)])]
     grids += [(name, weights_by_length(datum_preset(name), k))
@@ -120,6 +161,12 @@ def _box_weights(datum):
     if datum.fundamental_group_order() is None:
         return list(itertools.product(range(-2, 3), repeat=datum.rank))
     return length_box(datum, 3)
+
+
+def _act_cs(m, s):
+    """m * C_s from the cached action on exponent maps."""
+    terms = _act_terms(m.datum, ((lam, c._c) for lam, c in m._m.items()), s)
+    return SphElt(m.datum, {lam: LaurentPoly(f) for lam, f in terms.items()})
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A1xA1", "GL3"])

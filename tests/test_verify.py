@@ -4,13 +4,14 @@ from pathlib import Path
 import pytest
 
 import hsw.verify
-from hsw.laurent import v_power
+from hsw.laurent import LaurentPoly, v_power
 from hsw.rootdata import datum_preset, load_datum
-from hsw.spherical import SphElt
-from hsw.verify import (CHECKS, FAST_CHECKS, MODULE_CHECKS, check_canonical,
-                        check_oracle, run_suite, weights_by_length)
+from hsw.spherical import SphElt, canonical_basis
+from hsw.verify import (CHECKS, MODULE_CHECKS, check_canonical, check_oracle,
+                        run_suite, weights_by_length)
 
 SHEARED = str(Path(__file__).parent / "data" / "a2_sheared.json")
+FAST_CHECKS = ("quadratic", "length", "projection", "pushforward", "modules")
 
 
 def test_registry_names():
@@ -27,19 +28,43 @@ def test_report_shape(a1):
     assert r["failures"] == []
 
 
-def test_canonical_check_compares_with_reference():
+def _corrupted_check(corrupt):
+    """check_canonical on A2 after the table entry at the first weight of the
+    grid is replaced by corrupt(datum, lam, entry); the failures are listed
+    by weight in grid order, so the first one belongs to that weight."""
     a2 = datum_preset("A2")
     clean = check_canonical(a2, max_len=3)
     assert clean["pass"] is True
-    # corrupt a lower coefficient at the first weight of the grid; no other
-    # element depends on the table entry once the grid is filled
     lam = weights_by_length(a2, 3)[0]
     table = a2._sph_state.canonical
-    table[lam] = table[lam] + SphElt.basis(a2, (0, 0)).scale(v_power(-9))
+    table[lam] = corrupt(a2, lam, table[lam])
     r = check_canonical(a2, max_len=3)
     assert r["pass"] is False
-    assert r["failures"][0] == f"{lam}: differs from the full-chain reference"
     assert (r["checked"], r["detail"]) == (clean["checked"], clean["detail"])
+    return lam, table[lam], r["failures"][0]
+
+
+def test_canonical_check_compares_with_reference():
+    # a lower coefficient in v^-1 Z[v^-1] that breaks bar-invariance
+    lam, _, first = _corrupted_check(
+        lambda a2, lam, b: b + SphElt.basis(a2, (0, 0)).scale(v_power(-9)))
+    assert first == f"{lam}: not bar invariant"
+
+
+def test_canonical_check_catches_a_bar_invariant_lower_term():
+    # (v + v^-1) C(mu) at the highest lower weight mu keeps the element bar
+    # invariant; only the v^-1 Z[v^-1] test can see it
+    def corrupt(a2, lam, b):
+        return b + canonical_basis(a2, b.support()[1]).scale(LaurentPoly({1: 1, -1: 1}))
+
+    lam, bad, first = _corrupted_check(corrupt)
+    mu = bad.support()[1]
+    assert first == f"{lam}: coefficient at {mu} is {bad.coeff(mu)}"
+
+
+def test_canonical_check_catches_a_negated_element():
+    lam, _, first = _corrupted_check(lambda a2, lam, b: -b)
+    assert first == f"{lam}: leading coefficient -1"
 
 
 def test_weights_by_length(a1, a2, b2, g2):
