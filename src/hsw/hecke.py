@@ -15,9 +15,17 @@ and T_y T_om = T_{y om} for length-zero om.  The inverse mirrors this:
     T_hi T_s^-1 = T_lo
     T_lo T_s^-1 = T_hi - (v - v^-1) T_lo
 
-``_rmul_simple`` takes the sign and handles each pair once, so every output
-coefficient is written once, as c or as c' +- (v - v^-1) c (``add_xi``),
-and nothing accumulates.
+The letter-chain kernel (``_apply``) runs these steps on integers.  A term
+is keyed by the serial of its element, and each step y -> ys of a letter is
+held as one int in the table ``steps``: the serial of ys shifted left once,
+with the descent bit l(ys) < l(y) as its last bit.  Each coefficient is
+packed into one int with signed 64-bit digits (``laurent.pack``), so that
+multiplying by v or v^-1 is a shift and the step is c_ys +- ((c << 64) -
+(c >> 64)).  A step at most triples the largest coefficient, so a chain is
+cut into segments where the bound 3^k stays below 2^61; each segment starts
+from the exact coefficients read back from the one before, and digits are
+widened by 64 bits when the coefficients themselves need it, so results
+stay exact at any size.
 
 General products (``hecke_mul``) expand the right operand in the standard
 basis and factor each of its terms through a reduced word.  An operand that
@@ -29,19 +37,23 @@ two factors are ``theta_factors``.  Independence of the splitting is part of
 the verified relation battery, which multiplies by thetas in factored form
 and keeps ``hecke_mul`` as the general product the tests check it against.
 
-Per datum, ``datum._hecke_state`` memoises the thetas (``theta``).  The
-inverse of a basis symbol, and with it the bar of one, is computed on each
-call: the spherical module holds each bar it projects (``bar_basis``), so a
-table here would be read only once per symbol.
+Per datum, ``datum._hecke_state`` memoises the thetas (``theta``), the
+letters of T_x and of T_x^-1 (``letters``, keyed by the serial of x and its
+complement), the steps of each letter (``steps``, one dict per letter, keyed
+by the serial of the letter's element) and the elements whose serials the
+kernel has met (``by_serial``).  The inverse of a basis symbol, and with it
+the bar of one, is computed on each call: the spherical module holds each
+bar it projects (``bar_basis``), so a table here would be read only once
+per symbol.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .affine import (AffineElt, SimpleReflection, affine_identity, from_weyl,
-                     mul_simple, reduced_word, simple_reflections, translation)
-from .laurent import ONE, ZERO, Combination, LaurentPoly, add_into, add_xi, v_power
+from .affine import (AffineElt, affine_identity, from_weyl, reduced_word,
+                     simple_reflections, translation)
+from .laurent import ONE, Combination, LaurentPoly, add_into, pack, unpack, v_power
 from .rootdata import RootDatum, pair, vec_add, vec_scale, vec_sub
 
 
@@ -77,69 +89,188 @@ class HeckeElt(Combination):
 
 # -- core multiplication ------------------------------------------------------------
 
-def _rmul_simple(m: dict, s: SimpleReflection, sign: int = 1) -> dict:
-    """m * T_s for sign 1 and m * T_s^-1 for sign -1, one pair {y, ys} at a
-    time.  Call y the member whose ys is shorter (T_s) or longer (T_s^-1):
-    the pair's output is ys with coefficient c_y, and y with c_ys + sign *
-    (v - v^-1) * c_y.  Distinct pairs share no key, so each output key gets
-    its one value with no accumulation."""
-    out: dict[AffineElt, LaurentPoly] = {}
-    for y, c in m.items():
-        ys = mul_simple(y, s)
-        if ys.length - y.length == -sign:
-            out[ys] = c
-            top = add_xi(m.get(ys, ZERO), c, sign)
-            if top:
-                out[y] = top
-        elif ys not in m:
-            out[ys] = c  # else the pair is written when ys comes round
+
+def _width(bound: int) -> int:
+    """The fewest digit bits, a multiple of 64, with bound < 2^(width - 3)."""
+    return 64 * ((bound.bit_length() + 66) // 64)
+
+
+def _letters(x: AffineElt, sign: int) -> tuple[int, list]:
+    """The steps of T_x (sign 1) or T_x^-1 (sign -1), held per element in
+    the table ``letters``, with the number of them that are not omega.
+
+    Each step is (row, element, sign): omega then s_1 ... s_r, or s_r^-1
+    ... s_1^-1 then omega^-1, where row is the held step table of the
+    element and omega, which keeps lengths, has sign 0 (and no step when
+    omega = 1).
+    """
+    state = x.datum._hecke_state
+    key = x._serial if sign == 1 else ~x._serial
+    held = state.letters.get(key)
+    if held is None:
+        om, word = reduced_word(x)
+        if sign == 1:
+            seq = [(om, 0)] + [(s.elt, 1) for s in word]
+        else:
+            seq = [(s.elt, -1) for s in reversed(word)] + [(om.inverse(), 0)]
+        steps = state.steps
+        held = state.letters[key] = (len(word), [
+            (steps.setdefault(g._serial, {}), g, sgn)
+            for g, sgn in seq if sgn or not g.is_identity()])
+    return held
+
+
+def _fill(row: dict, y: int, g: AffineElt, by_serial: dict) -> int:
+    """Hold the step of the letter g from the element with serial y: the
+    serial of yg, shifted left once, with the descent bit l(yg) < l(y)."""
+    x = by_serial[y]
+    xg = x * g
+    by_serial[xg._serial] = xg
+    code = row[y] = xg._serial << 1 | (xg.length < x.length)
+    return code
+
+
+def _apply(cur: dict, letters, width: int, by_serial: dict) -> dict:
+    """Packed terms (serial -> ``pack``ed coefficient) times the letters.
+
+    For T_s, call y active when ys is shorter, and for T_s^-1 when it is
+    longer; the pair {y, ys} goes to ys with c_y and, for an active y, to y
+    with c_ys +- (v - v^-1) c_y.  Distinct pairs share no key.  Each step
+    can triple the largest coefficient and lower the least exponent by one,
+    so the caller packs with room for both.
+    """
+    for row, g, sign in letters:
+        out = {}
+        get = row.get
+        if not sign:
+            for y, c in cur.items():
+                code = get(y)
+                if code is None:
+                    code = _fill(row, y, g, by_serial)
+                out[code >> 1] = c
+        else:
+            act = 1 if sign == 1 else 0
+            for y, c in cur.items():
+                code = get(y)
+                if code is None:
+                    code = _fill(row, y, g, by_serial)
+                ys = code >> 1
+                if code & 1 == act:
+                    out[ys] = c
+                    xi = (c << width) - (c >> width)
+                    top = cur.get(ys, 0) + xi if act else cur.get(ys, 0) - xi
+                    if top:
+                        out[y] = top
+                elif ys not in cur:
+                    out[ys] = c  # else the pair is written when ys comes round
+        cur = out
+    return cur
+
+
+def _extent(terms) -> tuple[int, int]:
+    """The largest coefficient in absolute value and the least exponent of
+    the (key, polynomial) pairs terms."""
+    top, low = 0, None
+    for _, c in terms:
+        c = c._c
+        t, e = max(map(abs, c.values())), min(c)
+        if t > top:
+            top = t
+        if low is None or e < low:
+            low = e
+    return top, low
+
+
+def _pack_terms(terms: dict, base: int, width: int, by_serial: dict) -> dict:
+    """The terms keyed by serial with packed coefficients; each element is
+    entered in ``by_serial``."""
+    out = {}
+    for x, c in terms.items():
+        by_serial[x._serial] = x
+        out[x._serial] = pack(c, base, width)
     return out
 
 
-def _rmul_omega(m: dict, om: AffineElt) -> dict:
-    if om.is_identity():
-        return m
-    return {y * om: c for y, c in m.items()}
-
-
 def hecke_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
-    """Product in the standard basis, factoring b through reduced words."""
+    """Product in the standard basis, factoring b through reduced words.
+
+    a is packed once, with digits wide enough for the whole sum; each term
+    c T_x of b runs the letters of x on it and adds c times the result.
+    """
     if a.datum is not b.datum:
         raise ValueError("operands live over different data")
-    acc: dict[AffineElt, LaurentPoly] = {}
+    datum = a.datum
+    if not a._m or not b._m:
+        return HeckeElt(datum, {})
+    by_serial = datum._hecke_state.by_serial
+    chains = []
+    depth = scale = 0
+    shift = None
     for x, c in b._m.items():
-        om, word = reduced_word(x)
-        cur = _rmul_omega(a._m, om)
-        for s in word:
-            cur = _rmul_simple(cur, s)
-        add_into(acc, cur.items(), c)
-    return HeckeElt(a.datum, acc)
+        k, letters = _letters(x, 1)
+        chains.append((letters, c))
+        depth = max(depth, k)
+        c = c._c
+        scale += sum(map(abs, c.values()))
+        e = min(c)
+        if shift is None or e < shift:
+            shift = e
+    top, low = _extent(a._m.items())
+    width = _width(top * 3 ** depth * scale)
+    base = low - depth
+    packed = _pack_terms(a._m, base, width, by_serial)
+    acc: dict[int, int] = {}
+    get = acc.get
+    for letters, c in chains:
+        m = pack(c, shift, width)
+        for y, p in _apply(packed, letters, width, by_serial).items():
+            acc[y] = get(y, 0) + (p if m == 1 else p * m)
+    base += shift
+    return HeckeElt(datum, {by_serial[y]: unpack(p, base, width)
+                            for y, p in acc.items() if p})
 
 
 def hecke_mul_factors(a: HeckeElt, factors) -> HeckeElt:
     """The product a * F_1 * ... * F_k for factors given as pairs (x, sign),
     where F is T_x for sign +1 and T_x^{-1} for sign -1.
 
-    Each factor is applied one letter of its reduced word at a time, so the
-    operand is never expanded in the standard basis.
+    The letters of all factors run as one chain, so the operand is never
+    expanded in the standard basis.  The chain is cut into segments: each
+    packs the terms with room for as many letters as the growth bound 3^k
+    allows below 2^(width - 3), from the exact largest coefficient, and
+    reads them back at its end.
     """
     datum = a.datum
-    cur = a._m
+    letters = []
     for x, sign in factors:
         if x.datum is not datum:
             raise ValueError("operands live over different data")
-        om, word = reduced_word(x)
-        if sign == 1:
-            cur = _rmul_omega(cur, om)
-            for s in word:
-                cur = _rmul_simple(cur, s)
-        elif sign == -1:
-            for s in reversed(word):
-                cur = _rmul_simple(cur, s, -1)
-            cur = _rmul_omega(cur, om.inverse())
-        else:
+        if sign not in (1, -1):
             raise ValueError(f"factor sign must be 1 or -1, not {sign!r}")
-    return HeckeElt(datum, cur)
+        letters += _letters(x, sign)[1]
+    by_serial = datum._hecke_state.by_serial
+    terms = a._m
+    pos = 0
+    while terms and pos < len(letters):
+        top, low = _extent(terms.items())
+        # digits with room for 32 letters, or for all that are left
+        left = sum(1 for step in letters[pos:] if step[2])
+        width = _width(top * 3 ** min(left, 32))
+        limit = 1 << (width - 3)
+        end, depth = pos, 0
+        while end < len(letters):
+            if letters[end][2]:
+                if top * 3 >= limit:
+                    break
+                top *= 3
+                depth += 1
+            end += 1
+        base = low - depth
+        cur = _apply(_pack_terms(terms, base, width, by_serial), letters[pos:end],
+                     width, by_serial)
+        terms = {by_serial[y]: unpack(p, base, width) for y, p in cur.items()}
+        pos = end
+    return HeckeElt(datum, terms)
 
 
 def hecke_T(x: AffineElt) -> HeckeElt:
@@ -249,10 +380,11 @@ def verify_bernstein(datum: RootDatum, box: int) -> list[dict]:
             ok = lhs == hecke_T(from_weyl(vw * ww))
             rows.append({"relation": "B1", "case": f"{vw!r}*{ww!r}", "pass": ok})
     box_weights = list(itertools.product(range(-box, box + 1), repeat=datum.rank))
+    factors = {mu: theta_factors(datum, mu) for mu in box_weights}
     for lam in box_weights:
         th = hecke_theta(datum, lam)
         for mu in box_weights:
-            lhs = hecke_mul_factors(th, theta_factors(datum, mu))
+            lhs = hecke_mul_factors(th, factors[mu])
             ok = lhs == hecke_theta(datum, vec_add(lam, mu))
             rows.append({"relation": "B2", "case": f"{lam}+{mu}", "pass": ok})
     finite = [s for s in simple_reflections(datum) if s.kind == "finite"]

@@ -10,13 +10,19 @@ equality of values is equality of the underlying sparse maps.
 ``Combination`` is the sparse-combination core of the Hecke algebra's
 standard basis and of the spherical module: a map from basis keys to nonzero
 Laurent coefficients with its linear structure.  Sums of terms go through
-``add_into``, which drops a key whose coefficient cancels.  ``add_xi`` forms
-a + sign * (v - v^-1) * b in one pass, for the Hecke algebra's step
-T_y T_s^{+-1}.
+``add_into``, which drops a key whose coefficient cancels.
+
+``pack`` writes a polynomial as one integer, its value at v = 2^width with
+one signed digit per exponent from a chosen base up, and ``unpack`` reads
+it back.  While the digits stay in range, sums, integer multiples, products
+and multiplication by v^{+-1} (a shift by one digit) act on the integers as
+on the polynomials; the Hecke algebra's letter-chain kernel computes its
+coefficients this way.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Mapping, Union
 
 IntLike = Union[int, "LaurentPoly"]
@@ -249,27 +255,70 @@ def v_power(k: int) -> LaurentPoly:
     return _wrap({k: 1})
 
 
-def add_xi(a: LaurentPoly, b: LaurentPoly, sign: int = 1) -> LaurentPoly:
-    """a + sign * (v - v^-1) * b, in one pass: each term of b is shifted one
-    degree up and one down into a copy of a, with no product formed.
+def pack(f: LaurentPoly, base: int, width: int) -> int:
+    """f as one integer: the coefficient of v^e is the signed width-bit digit
+    e - base, that is, the value at v = 2^width times 2^(-width * base).  The
+    digits are exact when every coefficient lies in -2^(width-1)..2^(width-1)
+    - 1 and no exponent is below base.
 
-    >>> print(add_xi(V, ONE, -1))
-    v^-1
+    Sums, integer multiples and products of packed values are those of the
+    polynomials while the digits stay in range, and so are shifts: v * f is
+    n << width, and v^-1 * f is n >> width when the digit at base is 0.
+
+    >>> pack(LaurentPoly({-1: 1, 1: -2}), -1, 64) == 1 - (2 << 128)
+    True
     """
-    c = dict(a._c)
-    for e, x in b._c.items():
-        x *= sign
-        s = c.get(e + 1, 0) + x
-        if s:
-            c[e + 1] = s
-        else:
-            del c[e + 1]
-        s = c.get(e - 1, 0) - x
-        if s:
-            c[e - 1] = s
-        else:
-            del c[e - 1]
-    return _wrap(c)
+    n = 0
+    for e, a in f._c.items():
+        n += a << (width * (e - base))
+    return n
+
+
+def unpack(n: int, base: int, width: int) -> LaurentPoly:
+    """The polynomial of a packed value (``pack``), read as signed digits;
+    width is a multiple of 8.
+
+    >>> print(unpack(pack(V - 3 * V_INV, -4, 64), -4, 64))
+    -3*v^-1 + v
+    """
+    if not n:
+        return ZERO
+    low = ((n & -n).bit_length() - 1) // width   # the digits below are 0
+    if low:
+        n >>= width * low
+        base += low
+    half = 1 << (width - 1)
+    if n.bit_length() <= 4 * width:
+        # a few digits: taking them off one at a time costs less than the
+        # fixed overhead of the byte conversion below
+        c: dict[int, int] = {}
+        full = half << 1
+        mask = full - 1
+        while n:
+            a = n & mask
+            n >>= width
+            if a >= half:
+                a -= full
+                n += 1
+            if a:
+                c[base] = a
+            base += 1
+        return _wrap(c)
+    # with half added to every digit, each digit is its width-bit chunk
+    size = n.bit_length() // width + 1
+    nbytes = width >> 3
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
+    order = sys.byteorder
+    raw = (n + bias).to_bytes(nbytes * size, order)
+    if width == 64:
+        digits = memoryview(raw).cast("Q").tolist()
+    else:
+        digits = [int.from_bytes(raw[i:i + nbytes], order)
+                  for i in range(0, len(raw), nbytes)]
+    if order == "big":
+        digits.reverse()
+    return _wrap({e: a - half for e, a in zip(range(base, base + size), digits)
+                  if a != half})
 
 
 # -- sparse combinations ------------------------------------------------------------

@@ -246,7 +246,7 @@ class RootDatum:
         # validation); the benchmark's tracer reads these attribute names and
         # table names
         self._affine_state = Tables("elts", "mul_simple", "reduced", "min_reps")
-        self._hecke_state = Tables("theta")
+        self._hecke_state = Tables("theta", "letters", "steps", "by_serial")
         self._sph_state = Tables("act_simple", "bar_basis", "canonical")
         self._q_state = Tables("kostant", "partial", "orbits", "freud", "weights")
         self._mod_state = Tables("twists", "atoms", "chains", "validated")

@@ -18,10 +18,10 @@ invariants are held in ``datum._once``): a chain is the tensor of the longest
 prefix chain already held with one atom per remaining letter.  Each distinct
 module is validated once per datum: the table ``validated`` holds the
 contents (generator degrees, wall operators, left tables) that passed.
-Graded Hom spaces between chains are computed degree by degree by
-fraction-free integer elimination, and converted to a rank polynomial over
-the coordinate ring; coefficients beyond the reliable window raise instead
-of truncating silently.
+Graded Hom spaces between chains are computed degree by degree by sparse
+integer elimination (``linalg.sparse_rank``), and converted to a rank
+polynomial over the coordinate ring; coefficients beyond the reliable window
+raise instead of truncating silently.
 """
 
 from __future__ import annotations
@@ -587,9 +587,13 @@ def hom_graded_rank(m: GradedCModule, n: GradedCModule, cutoff: int = 16) -> Lau
 
 
 def _hom_dim(m: GradedCModule, n: GradedCModule, invs, d: int) -> int:
+    """Dimension of the degree-d maps m -> n that commute with the wall
+    operators: the unknowns are one coefficient per (generator of m,
+    generator of n, monomial), and each wall operator, source generator and
+    output monomial gives one sparse row of theta_j phi - phi theta_j."""
     add = operator.add
     r = m.nvars
-    unknowns: list[tuple[int, int, tuple]] = []
+    unknowns = 0
     by_pair: dict[tuple[int, int], list[tuple[tuple, int]]] = {}
     for i, gi in enumerate(m.gens):
         for a, ha in enumerate(n.gens):
@@ -598,11 +602,11 @@ def _hom_dim(m: GradedCModule, n: GradedCModule, invs, d: int) -> int:
                 continue
             lst = by_pair.setdefault((i, a), [])
             for mono in monomials_of_degree(r, t2 // 2):
-                lst.append((mono, len(unknowns)))
-                unknowns.append((i, a, mono))
+                lst.append((mono, unknowns))
+                unknowns += 1
     if not unknowns:
         return 0
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     for j, y in enumerate(invs):
         opdeg = 2 * y.total_degree() - 2
         for i, gi in enumerate(m.gens):
@@ -610,39 +614,26 @@ def _hom_dim(m: GradedCModule, n: GradedCModule, invs, d: int) -> int:
                 t2 = gi + opdeg + d - hb
                 if t2 < 0 or t2 % 2:
                     continue
-                # each unknown's coefficient polynomial, as exponents -> int
-                contrib: dict[int, dict[tuple, int]] = {}
+                # output monomial -> (unknown -> coefficient)
+                out: dict[tuple, dict[int, int]] = {}
                 for a in range(n.size()):
                     pc = n.theta[j][b][a]._c
                     if not pc:
                         continue
                     for mono, uidx in by_pair.get((i, a), ()):  # theta after phi
-                        acc = contrib.setdefault(uidx, {})
                         for e, c in pc.items():
-                            e = tuple(map(add, e, mono))
-                            acc[e] = acc.get(e, 0) + c
+                            row = out.setdefault(tuple(map(add, e, mono)), {})
+                            row[uidx] = row.get(uidx, 0) + c
                 for a2 in range(m.size()):
                     pc = m.theta[j][a2][i]._c
                     if not pc:
                         continue
                     for mono, uidx in by_pair.get((a2, b), ()):  # phi after theta
-                        acc = contrib.setdefault(uidx, {})
                         for e, c in pc.items():
-                            e = tuple(map(add, e, mono))
-                            acc[e] = acc.get(e, 0) - c
-                if not contrib:
-                    continue
-                for mono_out in monomials_of_degree(r, t2 // 2):
-                    row = [0] * len(unknowns)
-                    touched = False
-                    for uidx, acc in contrib.items():
-                        cc = acc.get(mono_out, 0)
-                        if cc:
-                            row[uidx] = cc
-                            touched = True
-                    if touched:
-                        rows.append(row)
-    return len(unknowns) - linalg.rank(rows)
+                            row = out.setdefault(tuple(map(add, e, mono)), {})
+                            row[uidx] = row.get(uidx, 0) - c
+                rows.extend(out.values())
+    return unknowns - linalg.sparse_rank(rows)
 
 
 def modules_equal(m: GradedCModule, n: GradedCModule) -> bool:

@@ -15,11 +15,11 @@ import time
 
 from .affine import (affine_identity, length_box, min_rep, omega_elements,
                      reduced_word, simple_reflections)
-from .hecke import hecke_mul, hecke_T, verify_bernstein, verify_quadratic_all
+from .hecke import HeckeElt, hecke_mul, hecke_T, verify_bernstein, verify_quadratic_all
 from .laurent import ONE, LaurentPoly, v_power
 from .qanalogue import freudenthal_mult, kato_grid, lusztig_q, weights_of_irrep
 from .rootdata import RootDatum
-from .spherical import (bs_char, canonical_basis, decompose_bs, fl_bs_char, sph_act,
+from .spherical import (bs_char, canonical_basis, decompose_bs, sph_act,
                         sph_bar, sph_project)
 
 
@@ -193,16 +193,25 @@ def check_projection(datum: RootDatum, n_random: int = 100, max_len: int = 3,
 
 
 def check_pushforward(datum: RootDatum, max_word: int = 3) -> dict:
-    """Chains built in the algebra project onto chains built in the module."""
+    """Chains built in the algebra project onto chains built in the module.
+
+    The algebra chain of a twist omega and a word is T_omega times the
+    product of the C_s = T_s + v^-1 of the word (``fl_bs_char``); each is
+    built from the chain of the word without its last letter.
+    """
     started = time.perf_counter()
     simples = simple_reflections(datum)
+    one = HeckeElt.one(datum)
+    c_s = {s: hecke_T(s.elt) + one.scale(v_power(-1)) for s in simples}
     checked = 0
     bad = []
     for omega in _twists(datum):
-        t_om = hecke_T(omega)
+        algebra = {(): hecke_T(omega)}
         for n in range(max_word + 1):
             for word in itertools.product(simples, repeat=n):
-                lhs = sph_project(hecke_mul(t_om, fl_bs_char(datum, word)))
+                if word:
+                    algebra[word] = hecke_mul(algebra[word[:-1]], c_s[word[-1]])
+                lhs = sph_project(algebra[word])
                 if lhs != bs_char(datum, omega, word):
                     bad.append(f"omega={omega!r}, word={[s.label for s in word]}")
                 checked += 1

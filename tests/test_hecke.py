@@ -3,14 +3,93 @@ import random
 
 import pytest
 
-from hsw.affine import (affine_identity, min_rep, mul_simple, omega_elements,
+from hsw import hecke
+from hsw.affine import (affine_identity, length_box, min_rep, mul_simple, omega_elements,
                         reduced_word, simple_reflections, translation)
-from hsw.hecke import (HeckeElt, _dominant_split, _rmul_simple, hecke_bar, hecke_bar_T,
+from hsw.hecke import (HeckeElt, _dominant_split, hecke_bar, hecke_bar_T,
                        hecke_inv_T, hecke_mul, hecke_mul_factors, hecke_T, hecke_theta,
                        verify_bernstein, verify_quadratic_affine,
                        verify_quadratic_all)
-from hsw.laurent import ONE, XI, ZERO, LaurentPoly, v_power
+from hsw.laurent import ONE, V, XI, ZERO, LaurentPoly, _wrap, v_power
 from hsw.rootdata import datum_preset
+
+PRESETS = ["A1", "A2", "B2", "G2", "A1xA1", "GL3"]
+
+
+# -- the pair-by-pair product on Laurent coefficients: the oracle of the kernel -------
+
+
+def add_xi(a, b, sign=1):
+    """a + sign * (v - v^-1) * b, in one pass: each term of b is shifted one
+    degree up and one down into a copy of a, with no product formed."""
+    c = dict(a._c)
+    for e, x in b._c.items():
+        x *= sign
+        s = c.get(e + 1, 0) + x
+        if s:
+            c[e + 1] = s
+        else:
+            del c[e + 1]
+        s = c.get(e - 1, 0) - x
+        if s:
+            c[e - 1] = s
+        else:
+            del c[e - 1]
+    return _wrap(c)
+
+
+def _rmul_simple(m, s, sign=1):
+    """m * T_s for sign 1 and m * T_s^-1 for sign -1, one pair {y, ys} at a
+    time.  Call y the member whose ys is shorter (T_s) or longer (T_s^-1):
+    the pair's output is ys with coefficient c_y, and y with c_ys + sign *
+    (v - v^-1) * c_y.  Distinct pairs share no key."""
+    out = {}
+    for y, c in m.items():
+        ys = mul_simple(y, s)
+        if ys.length - y.length == -sign:
+            out[ys] = c
+            top = add_xi(m.get(ys, ZERO), c, sign)
+            if top:
+                out[y] = top
+        elif ys not in m:
+            out[ys] = c
+    return out
+
+
+def _rmul_omega(m, om):
+    return {y * om: c for y, c in m.items()}
+
+
+def mul_oracle(a, b):
+    """hecke_mul on term maps, letter by letter on Laurent coefficients."""
+    acc = {}
+    for x, c in b.items():
+        om, word = reduced_word(x)
+        cur = _rmul_omega(a, om)
+        for s in word:
+            cur = _rmul_simple(cur, s)
+        for y, d in cur.items():
+            total = acc.get(y, ZERO) + d * c
+            if total:
+                acc[y] = total
+            else:
+                acc.pop(y, None)
+    return acc
+
+
+def mul_factors_oracle(a, factors):
+    cur = a
+    for x, sign in factors:
+        om, word = reduced_word(x)
+        if sign == 1:
+            cur = _rmul_omega(cur, om)
+            for s in word:
+                cur = _rmul_simple(cur, s)
+        else:
+            for s in reversed(word):
+                cur = _rmul_simple(cur, s, -1)
+            cur = _rmul_omega(cur, om.inverse())
+    return cur
 
 
 def rand_elt(datum, rng, max_len=4):
@@ -64,6 +143,27 @@ def inverse_by_word(x):
     return hecke_mul(out, hecke_T(om.inverse()))
 
 
+def rand_poly(rng, max_terms=5, span=6, bound=9):
+    return LaurentPoly({rng.randrange(-span, span + 1): rng.randrange(-bound, bound + 1)
+                        for _ in range(rng.randrange(max_terms + 1))})
+
+
+def test_add_xi_matches_product():
+    rng = random.Random(4711)
+    for _ in range(300):
+        a, b = rand_poly(rng), rand_poly(rng)
+        for sign in (1, -1):
+            got = add_xi(a, b, sign)
+            assert got == a + sign * XI * b
+            assert 0 not in got._c.values()
+    # the result cancels to zero, and a is not changed in place
+    a = -XI * (V + 1)
+    assert not add_xi(a, V + 1)._c
+    assert a == -XI * (V + 1)
+    assert add_xi(XI, ONE, -1) == ZERO
+    assert add_xi(V, ZERO, -1) == V and add_xi(ZERO, ONE, -1) == -XI
+
+
 def _rmul_simple_termwise(m, s, sign):
     """m * T_s^sign by the rule for one term, summed term by term."""
     out = {}
@@ -104,6 +204,93 @@ def test_rmul_simple_matches_termwise_expansion(name):
     lo, hi = affine_identity(datum), s.elt
     assert _rmul_simple({lo: -XI, hi: ONE}, s) == {lo: ONE}
     assert _rmul_simple({lo: ONE, hi: XI}, s, -1) == {hi: ONE}
+
+
+def _kernel_pool(datum):
+    """Coset representatives on a small box of weights; on GL3, whose
+    length-zero subgroup is infinite, a plain box including the central
+    direction (1, 1, 1)."""
+    if datum.fundamental_group_order() is None:
+        weights = itertools.product(range(-1, 2), repeat=datum.rank)
+    else:
+        weights = length_box(datum, 1)
+    return [min_rep(datum, lam) for lam in weights]
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_kernel_matches_the_pair_oracle(name):
+    datum = datum_preset(name)
+    rng = random.Random(f"kernel {name}")
+    pool = _kernel_pool(datum)
+    omegas = [x for x in pool if x.length == 0]
+    assert affine_identity(datum) in omegas
+    if name == "GL3":
+        assert translation(datum, (1, 1, 1)) in omegas
+    gens = simple_reflections(datum)
+
+    def rand_x():
+        x = rng.choice(pool)
+        for _ in range(rng.randrange(3)):
+            x = x * rng.choice(gens).elt
+        return x
+
+    def rand_terms(n):
+        return {rand_x(): rand_poly(rng, 3, 3, 4) or ONE for _ in range(n)}
+
+    for _ in range(15):
+        a, b = rand_terms(rng.randrange(1, 5)), rand_terms(rng.randrange(1, 4))
+        assert hecke_mul(HeckeElt(datum, a), HeckeElt(datum, b))._m == mul_oracle(a, b)
+        factors = [(rng.choice((rand_x(), rng.choice(omegas))), rng.choice((1, -1)))
+                   for _ in range(rng.randrange(1, 4))]
+        got = hecke_mul_factors(HeckeElt(datum, a), factors)._m
+        assert got == mul_factors_oracle(a, factors)
+
+
+def _spy_segments(monkeypatch):
+    """Record (letters, digit width) of every segment the kernel runs."""
+    calls = []
+    real = hecke._apply
+
+    def spy(cur, letters, width, by_serial):
+        calls.append((len(letters), width))
+        return real(cur, letters, width, by_serial)
+
+    monkeypatch.setattr(hecke, "_apply", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_long_chain_is_cut_into_segments(name, monkeypatch):
+    # 120 letters: the bound 3^120 is far beyond 2^64, though the
+    # coefficients of T_s^-120 stay small; the chain is re-read every 38 letters
+    datum = datum_preset(name)
+    calls = _spy_segments(monkeypatch)
+    one = HeckeElt.one(datum)
+    for s in simple_reflections(datum):
+        calls.clear()
+        factors = [(s.elt, -1)] * 120
+        got = hecke_mul_factors(one, factors)._m
+        assert got == mul_factors_oracle(one._m, factors)
+        assert calls == [(38, 64)] * 3 + [(6, 64)]
+
+
+def test_coefficients_beyond_64_bits_stay_exact(monkeypatch):
+    calls = _spy_segments(monkeypatch)
+    for name in ("A2", "GL3"):
+        datum = datum_preset(name)
+        pool = _kernel_pool(datum)
+        s1, s2 = simple_reflections(datum)[:2]
+        factors = [(s1.elt, 1), (s2.elt, -1)] * 30 + [(pool[-1], -1), (pool[3], 1)]
+        for big, width in ((1 << 55, 128), (1 << 70, 128), (-(1 << 200) + 3, 256)):
+            a = {pool[0]: LaurentPoly({0: big, 2: -3}), pool[4]: LaurentPoly({-1: big // 7})}
+            calls.clear()
+            got = hecke_mul_factors(HeckeElt(datum, a), factors)._m
+            assert got == mul_factors_oracle(a, factors)
+            # a start near 2^61 leaves room for fewer letters, so the chain
+            # is cut, and a larger one widens the digits
+            assert len(calls) > 1 and calls[0][1] == width
+            b = {pool[5]: LaurentPoly({3: big, -2: 1}), pool[-2]: -V}
+            assert hecke_mul(HeckeElt(datum, a), HeckeElt(datum, b))._m == mul_oracle(a, b)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "GL3"])

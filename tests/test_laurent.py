@@ -5,7 +5,7 @@ import pytest
 
 from hsw.affine import simple_reflections
 from hsw.hecke import HeckeElt, hecke_T, hecke_theta
-from hsw.laurent import (ONE, V, V_INV, XI, ZERO, LaurentPoly, add_into, add_xi,
+from hsw.laurent import (ONE, V, V_INV, ZERO, LaurentPoly, add_into, pack, unpack,
                          v_power)
 from hsw.rootdata import datum_preset
 from hsw.spherical import SphElt, canonical_basis
@@ -45,20 +45,36 @@ def test_ring_axioms_random():
         assert f * ZERO == ZERO
 
 
-def test_add_xi_matches_product():
+def test_pack_round_trip():
     rng = random.Random(4711)
-    for _ in range(300):
-        a, b = rand_poly(rng), rand_poly(rng)
-        for sign in (1, -1):
-            got = add_xi(a, b, sign)
-            assert got == a + sign * XI * b
-            assert 0 not in got._c.values()
-    # the result cancels to zero, and a is not changed in place
-    a = -XI * (V + 1)
-    assert not add_xi(a, V + 1)._c
-    assert a == -XI * (V + 1)
-    assert add_xi(XI, ONE, -1) == ZERO
-    assert add_xi(V, ZERO, -1) == V and add_xi(ZERO, ONE, -1) == -XI
+    for width in (64, 128, 192):
+        half = 1 << (width - 1)
+        for _ in range(200):
+            f = rand_poly(rng)
+            if rng.random() < 0.3:   # digits at the edge of the range
+                f = LaurentPoly({**f._c, rng.randrange(-6, 7): rng.choice((half - 1, -half))})
+            base = min(f.support(), default=0) - rng.randrange(3)
+            n = pack(f, base, width)
+            assert unpack(n, base, width) == f
+            assert 0 not in unpack(n, base, width)._c.values()
+            # a shift by one digit is a multiplication by v
+            assert unpack(n << width, base, width) == f * V
+            if f.coeff(base) == 0:
+                assert unpack(n >> width, base, width) == f * V_INV
+    assert pack(ZERO, 0, 64) == 0 and unpack(0, -5, 64) is ZERO
+
+
+def test_packed_arithmetic_is_polynomial_arithmetic():
+    rng = random.Random(99)
+    for _ in range(200):
+        f, g = rand_poly(rng), rand_poly(rng)
+        base_f, base_g = -6, -6
+        nf, ng = pack(f, base_f, 64), pack(g, base_g, 64)
+        assert unpack(nf + ng, base_f, 64) == f + g
+        assert unpack(nf - 3 * ng, base_f, 64) == f - 3 * g
+        assert unpack(nf * ng, base_f + base_g, 64) == f * g
+    big = LaurentPoly({-3: 1 << 200, 4: -(1 << 190) + 7})
+    assert unpack(pack(big, -3, 256), -3, 256) == big
 
 
 def test_pow():

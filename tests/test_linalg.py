@@ -185,3 +185,52 @@ def test_inputs_are_not_modified():
     linalg.nullspace(rows, 2)
     linalg.inverse(rows)
     assert rows == [[0, 2], [3, 1]]
+
+
+def random_sparse_rows(rng, big=False):
+    """Sparse rows with zero rows, repeated rows, explicit zero entries and
+    rows that are combinations of earlier ones; entries above 2^64 if big."""
+    ncols = rng.randint(1, 12)
+    rows = []
+    for _ in range(rng.randint(0, 10)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append({})
+        elif kind < 0.2 and rows:
+            rows.append(dict(rng.choice(rows)))
+        elif kind < 0.4 and len(rows) > 1:
+            p, q = rng.sample(rows, 2)
+            a, b = rng.choice((-3, -1, 2, 5)), rng.choice((-2, 1, 7))
+            rows.append({j: a * p.get(j, 0) + b * q.get(j, 0) for j in set(p) | set(q)})
+        else:
+            scale = (1 << 70) + 1 if big and rng.random() < 0.5 else 1
+            rows.append({j: rng.choice((-6, -2, -1, 1, 3, 4)) * scale
+                         for j in range(ncols) if rng.random() < 0.3})
+            if rng.random() < 0.2:
+                rows[-1][rng.randrange(ncols)] = 0
+    return rows, ncols
+
+
+@pytest.mark.parametrize("big", [False, True], ids=["small", "beyond-2^64"])
+def test_sparse_rank_matches_bareiss(big):
+    rng = random.Random(2024 + big)
+    for _ in range(400):
+        rows, ncols = random_sparse_rows(rng, big)
+        dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+        assert linalg.sparse_rank(rows) == linalg.rank(dense), rows
+
+
+@pytest.mark.parametrize("rows,ncols", ALL)
+def test_sparse_rank_on_the_dense_cases(rows, ncols):
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    assert linalg.sparse_rank(sparse) == len(ref_rref(rows, ncols)[1])
+
+
+def test_sparse_rank_needs_the_cofactor_of_the_reduced_row():
+    # 2*e0 against the pivot 3*e0 + e1: 3*(2, 0) - 2*(3, 1) = (0, -2), a
+    # new pivot; without the factor 3 the row would not cancel column 0
+    assert linalg.sparse_rank([{0: 3, 1: 1}, {0: 2}]) == 2
+    assert linalg.sparse_rank([{0: 3, 1: 1}, {0: 6, 1: 2}, {0: 2, 1: 4}]) == 2
+    rows = [{0: 1, 1: 1}, {1: 2}]
+    linalg.sparse_rank(rows)
+    assert rows == [{0: 1, 1: 1}, {1: 2}]

@@ -382,3 +382,90 @@ def test_validate_rejects_each_branch(g2):
     theta[0][1][2] = u1
     with pytest.raises(ValueError, match=r"theta\[0\] does not commute with left"):
         GradedCModule(g2, m.gens, theta, m.left)
+
+
+def dense_hom_dim(m, n, invs, d):
+    """The degree-d Hom dimension with one dense row per equation, ranked by
+    Bareiss elimination: the oracle of the sparse rows of ``_hom_dim``."""
+    from operator import add
+
+    from hsw import linalg
+    from hsw.mpoly import monomials_of_degree
+    r = m.nvars
+    unknowns = []
+    by_pair = {}
+    for i, gi in enumerate(m.gens):
+        for a, ha in enumerate(n.gens):
+            t2 = gi + d - ha
+            if t2 < 0 or t2 % 2:
+                continue
+            lst = by_pair.setdefault((i, a), [])
+            for mono in monomials_of_degree(r, t2 // 2):
+                lst.append((mono, len(unknowns)))
+                unknowns.append((i, a, mono))
+    if not unknowns:
+        return 0
+    rows = []
+    for j, y in enumerate(invs):
+        opdeg = 2 * y.total_degree() - 2
+        for i, gi in enumerate(m.gens):
+            for b, hb in enumerate(n.gens):
+                t2 = gi + opdeg + d - hb
+                if t2 < 0 or t2 % 2:
+                    continue
+                contrib = {}
+                for a in range(n.size()):
+                    pc = n.theta[j][b][a]._c
+                    if not pc:
+                        continue
+                    for mono, uidx in by_pair.get((i, a), ()):
+                        acc = contrib.setdefault(uidx, {})
+                        for e, c in pc.items():
+                            e = tuple(map(add, e, mono))
+                            acc[e] = acc.get(e, 0) + c
+                for a2 in range(m.size()):
+                    pc = m.theta[j][a2][i]._c
+                    if not pc:
+                        continue
+                    for mono, uidx in by_pair.get((a2, b), ()):
+                        acc = contrib.setdefault(uidx, {})
+                        for e, c in pc.items():
+                            e = tuple(map(add, e, mono))
+                            acc[e] = acc.get(e, 0) - c
+                if not contrib:
+                    continue
+                for mono_out in monomials_of_degree(r, t2 // 2):
+                    row = [0] * len(unknowns)
+                    touched = False
+                    for uidx, acc in contrib.items():
+                        cc = acc.get(mono_out, 0)
+                        if cc:
+                            row[uidx] = cc
+                            touched = True
+                    if touched:
+                        rows.append(row)
+    return len(unknowns) - linalg.rank(rows)
+
+
+@pytest.mark.parametrize("name,max_word", [("A1", 2), ("A2", 1), ("B2", 1), ("G2", 1),
+                                           ("A1xA1", 1), ("GL3", 1)])
+def test_sparse_hom_rows_match_the_dense_oracle(name, max_word):
+    # every degree system of the check_oracle grid, at the default cutoff
+    import itertools
+
+    from hsw.verify import _oracle_alphabet, _twists
+    datum = datum_preset(name)
+    e = affine_identity(datum)
+    chains = [(om, ()) for om in _twists(datum)]
+    for k in range(1, max_word + 1):
+        chains += [(e, w) for w in itertools.product(_oracle_alphabet(datum), repeat=k)]
+    modules = [bs_module(datum, om, w) for om, w in chains]
+    invs = fundamental_invariants(datum)
+    nonzero = 0
+    for m in modules:
+        for n in modules:
+            for d in range(-16, 17):
+                got = soergel._hom_dim(m, n, invs, d)
+                assert got == dense_hom_dim(m, n, invs, d), (m, n, d)
+                nonzero += got > 0
+    assert nonzero
