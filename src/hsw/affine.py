@@ -14,7 +14,8 @@ unless it is finite.  Weight boxes bounded by length are boxes of pairings
 
 Per datum, the tables of ``datum._affine_state`` intern the elements
 (``elts``, one object per pair (w, lam), hashed by its serial there, so no two
-elements of a datum share a hash) and memoise generator products
+elements of a datum share a hash; the list ``by_serial`` holds them in serial
+order) and memoise generator products
 (``mul_simple``), reduced words (``reduced``) and coset representatives
 (``min_reps``); the generators and the length-zero elements are held in
 ``datum._once`` as ``affine_simples`` and ``omegas``.
@@ -115,11 +116,13 @@ class SimpleReflection:
 
 def affine_elt(datum: RootDatum, w: WeylElt, lam) -> AffineElt:
     lam = tuple(int(x) for x in lam)
-    elts = datum._affine_state.elts
+    state = datum._affine_state
     key = (w, lam)
-    el = elts.get(key)
+    el = state.elts.get(key)
     if el is None:
-        el = elts[key] = AffineElt(datum, w, lam, len(elts))
+        by_serial = state.by_serial
+        el = state.elts[key] = AffineElt(datum, w, lam, len(by_serial))
+        by_serial.append(el)
     return el
 
 

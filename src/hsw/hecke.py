@@ -39,12 +39,12 @@ and keeps ``hecke_mul`` as the general product the tests check it against.
 
 Per datum, ``datum._hecke_state`` memoises the thetas (``theta``), the
 letters of T_x and of T_x^-1 (``letters``, keyed by the serial of x and its
-complement), the steps of each letter (``steps``, one dict per letter, keyed
-by the serial of the letter's element) and the elements whose serials the
-kernel has met (``by_serial``).  The inverse of a basis symbol, and with it
-the bar of one, is computed on each call: the spherical module holds each
-bar it projects (``bar_basis``), so a table here would be read only once
-per symbol.
+complement) and the steps of each letter (``steps``, one dict per letter,
+keyed by the serial of the letter's element); the kernel reads the element
+of a serial from the affine layer's ``by_serial``.  The inverse of a basis
+symbol, and with it the bar of one, is computed on each call: the spherical
+module holds each bar it projects (``bar_basis``), so a table here would be
+read only once per symbol.
 """
 
 from __future__ import annotations
@@ -120,17 +120,16 @@ def _letters(x: AffineElt, sign: int) -> tuple[int, list]:
     return held
 
 
-def _fill(row: dict, y: int, g: AffineElt, by_serial: dict) -> int:
+def _fill(row: dict, y: int, g: AffineElt, by_serial: list) -> int:
     """Hold the step of the letter g from the element with serial y: the
     serial of yg, shifted left once, with the descent bit l(yg) < l(y)."""
     x = by_serial[y]
     xg = x * g
-    by_serial[xg._serial] = xg
     code = row[y] = xg._serial << 1 | (xg.length < x.length)
     return code
 
 
-def _apply(cur: dict, letters, width: int, by_serial: dict) -> dict:
+def _apply(cur: dict, letters, width: int, by_serial: list) -> dict:
     """Packed terms (serial -> ``pack``ed coefficient) times the letters.
 
     For T_s, call y active when ys is shorter, and for T_s^-1 when it is
@@ -167,11 +166,11 @@ def _apply(cur: dict, letters, width: int, by_serial: dict) -> dict:
     return cur
 
 
-def _extent(terms) -> tuple[int, int]:
+def _extent(polys) -> tuple[int, int]:
     """The largest coefficient in absolute value and the least exponent of
-    the (key, polynomial) pairs terms."""
+    the polynomials polys."""
     top, low = 0, None
-    for _, c in terms:
+    for c in polys:
         c = c._c
         t, e = max(map(abs, c.values())), min(c)
         if t > top:
@@ -179,16 +178,6 @@ def _extent(terms) -> tuple[int, int]:
         if low is None or e < low:
             low = e
     return top, low
-
-
-def _pack_terms(terms: dict, base: int, width: int, by_serial: dict) -> dict:
-    """The terms keyed by serial with packed coefficients; each element is
-    entered in ``by_serial``."""
-    out = {}
-    for x, c in terms.items():
-        by_serial[x._serial] = x
-        out[x._serial] = pack(c, base, width)
-    return out
 
 
 def hecke_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
@@ -202,7 +191,7 @@ def hecke_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
     datum = a.datum
     if not a._m or not b._m:
         return HeckeElt(datum, {})
-    by_serial = datum._hecke_state.by_serial
+    by_serial = datum._affine_state.by_serial
     chains = []
     depth = scale = 0
     shift = None
@@ -215,10 +204,10 @@ def hecke_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
         e = min(c)
         if shift is None or e < shift:
             shift = e
-    top, low = _extent(a._m.items())
+    top, low = _extent(a._m.values())
     width = _width(top * 3 ** depth * scale)
     base = low - depth
-    packed = _pack_terms(a._m, base, width, by_serial)
+    packed = {x._serial: pack(c, base, width) for x, c in a._m.items()}
     acc: dict[int, int] = {}
     get = acc.get
     for letters, c in chains:
@@ -248,11 +237,11 @@ def hecke_mul_factors(a: HeckeElt, factors) -> HeckeElt:
         if sign not in (1, -1):
             raise ValueError(f"factor sign must be 1 or -1, not {sign!r}")
         letters += _letters(x, sign)[1]
-    by_serial = datum._hecke_state.by_serial
+    by_serial = datum._affine_state.by_serial
     terms = a._m
     pos = 0
     while terms and pos < len(letters):
-        top, low = _extent(terms.items())
+        top, low = _extent(terms.values())
         # digits with room for 32 letters, or for all that are left
         left = sum(1 for step in letters[pos:] if step[2])
         width = _width(top * 3 ** min(left, 32))
@@ -266,8 +255,8 @@ def hecke_mul_factors(a: HeckeElt, factors) -> HeckeElt:
                 depth += 1
             end += 1
         base = low - depth
-        cur = _apply(_pack_terms(terms, base, width, by_serial), letters[pos:end],
-                     width, by_serial)
+        cur = _apply({x._serial: pack(c, base, width) for x, c in terms.items()},
+                     letters[pos:end], width, by_serial)
         terms = {by_serial[y]: unpack(p, base, width) for y, p in cur.items()}
         pos = end
     return HeckeElt(datum, terms)

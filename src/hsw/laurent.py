@@ -275,50 +275,40 @@ def pack(f: LaurentPoly, base: int, width: int) -> int:
 
 
 def unpack(n: int, base: int, width: int) -> LaurentPoly:
-    """The polynomial of a packed value (``pack``), read as signed digits;
-    width is a multiple of 8.
+    """The polynomial of a packed value (``pack``); width is a multiple of 64.
+
+    The two's-complement bytes of n are read as 64-bit words, the words of
+    each digit are joined, and one pass from the lowest digit turns the
+    unsigned digits into signed ones, carrying 1 into the next digit from
+    each digit that is at least 2^(width-1).
 
     >>> print(unpack(pack(V - 3 * V_INV, -4, 64), -4, 64))
     -3*v^-1 + v
     """
     if not n:
         return ZERO
-    low = ((n & -n).bit_length() - 1) // width   # the digits below are 0
-    if low:
-        n >>= width * low
-        base += low
-    half = 1 << (width - 1)
-    if n.bit_length() <= 4 * width:
-        # a few digits: taking them off one at a time costs less than the
-        # fixed overhead of the byte conversion below
-        c: dict[int, int] = {}
-        full = half << 1
-        mask = full - 1
-        while n:
-            a = n & mask
-            n >>= width
-            if a >= half:
-                a -= full
-                n += 1
-            if a:
-                c[base] = a
-            base += 1
-        return _wrap(c)
-    # with half added to every digit, each digit is its width-bit chunk
-    size = n.bit_length() // width + 1
-    nbytes = width >> 3
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
+    k = width >> 6
+    size = (n.bit_length() + 1) // width + 1   # room for the sign
     order = sys.byteorder
-    raw = (n + bias).to_bytes(nbytes * size, order)
-    if width == 64:
-        digits = memoryview(raw).cast("Q").tolist()
-    else:
-        digits = [int.from_bytes(raw[i:i + nbytes], order)
-                  for i in range(0, len(raw), nbytes)]
+    words = memoryview(n.to_bytes(8 * k * size, order, signed=True)).cast("Q").tolist()
     if order == "big":
-        digits.reverse()
-    return _wrap({e: a - half for e, a in zip(range(base, base + size), digits)
-                  if a != half})
+        words.reverse()
+    digits = words[::k]
+    for j in range(1, k):
+        digits = [d | w << (64 * j) for d, w in zip(digits, words[j::k])]
+    half = 1 << (width - 1)
+    full = half << 1
+    c: dict[int, int] = {}
+    carry = 0
+    for a in digits:
+        a += carry
+        carry = a >= half
+        if carry:
+            a -= full
+        if a:
+            c[base] = a
+        base += 1
+    return _wrap(c)
 
 
 # -- sparse combinations ------------------------------------------------------------

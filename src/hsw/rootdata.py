@@ -196,6 +196,8 @@ class Tables:
     made empty here.  Any other name raises ``AttributeError``, so a misspelt
     table is an error, not a second table.  A value computed once per datum
     is not a table entry: every layer keeps those in ``RootDatum._once``.
+    Beside its interning table the affine layer holds one list, its
+    elements in serial order (``by_serial``), set in ``RootDatum``.
     """
 
     def __init__(self, *names: str):
@@ -246,7 +248,10 @@ class RootDatum:
         # validation); the benchmark's tracer reads these attribute names and
         # table names
         self._affine_state = Tables("elts", "mul_simple", "reduced", "min_reps")
-        self._hecke_state = Tables("theta", "letters", "steps", "by_serial")
+        # the interned affine elements in serial order (an element's serial
+        # is its index), which the T-basis kernel reads its results from
+        self._affine_state.by_serial = []
+        self._hecke_state = Tables("theta", "letters", "steps")
         self._sph_state = Tables("act_simple", "bar_basis", "canonical")
         self._q_state = Tables("kostant", "partial", "orbits", "freud", "weights")
         self._mod_state = Tables("twists", "atoms", "chains", "validated")

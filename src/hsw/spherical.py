@@ -44,7 +44,8 @@ from operator import neg
 
 from .affine import AffineElt, SimpleReflection, min_rep, mul_simple, simple_reflections
 from .hecke import HeckeElt, hecke_T, hecke_bar_T, hecke_mul
-from .laurent import ONE, V_INV, ZERO, Combination, LaurentPoly, _wrap, add_into
+from .laurent import (ONE, V_INV, ZERO, Combination, LaurentPoly, _wrap, add_into,
+                      v_power)
 from .rootdata import RootDatum, Vec
 from .worklist import fill
 
@@ -99,9 +100,7 @@ def sph_project(h: HeckeElt) -> SphElt:
     acc: dict[Vec, LaurentPoly] = {}
     for x, c in h._m.items():
         ulen = _coset(x)
-        if ulen:
-            c = _wrap({e + ulen: a for e, a in c._c.items()})
-        add_into(acc, ((x.lam, c),))
+        add_into(acc, ((x.lam, c),), v_power(ulen) if ulen else None)
     return SphElt(h.datum, acc)
 
 

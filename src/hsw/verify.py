@@ -15,11 +15,11 @@ import time
 
 from .affine import (affine_identity, length_box, min_rep, omega_elements,
                      reduced_word, simple_reflections)
-from .hecke import HeckeElt, hecke_mul, hecke_T, verify_bernstein, verify_quadratic_all
+from .hecke import hecke_mul, hecke_T, verify_bernstein, verify_quadratic_all
 from .laurent import ONE, LaurentPoly, v_power
 from .qanalogue import freudenthal_mult, kato_grid, lusztig_q, weights_of_irrep
 from .rootdata import RootDatum
-from .spherical import (bs_char, canonical_basis, decompose_bs, sph_act,
+from .spherical import (bs_char, canonical_basis, decompose_bs, fl_bs_char, sph_act,
                         sph_bar, sph_project)
 
 
@@ -201,8 +201,7 @@ def check_pushforward(datum: RootDatum, max_word: int = 3) -> dict:
     """
     started = time.perf_counter()
     simples = simple_reflections(datum)
-    one = HeckeElt.one(datum)
-    c_s = {s: hecke_T(s.elt) + one.scale(v_power(-1)) for s in simples}
+    c_s = {s: fl_bs_char(datum, (s,)) for s in simples}
     checked = 0
     bad = []
     for omega in _twists(datum):

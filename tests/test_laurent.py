@@ -62,6 +62,12 @@ def test_pack_round_trip():
             if f.coeff(base) == 0:
                 assert unpack(n >> width, base, width) == f * V_INV
     assert pack(ZERO, 0, 64) == 0 and unpack(0, -5, 64) is ZERO
+    # a top digit of +-1 over a digit at the edge: the value has fewer bits
+    # than its digits take, and every digit is still read back
+    for width in (64, 128):
+        half = 1 << (width - 1)
+        for f in (LaurentPoly({5: 1, 4: -half, 0: -1}), LaurentPoly({5: -1, 4: half - 1, 0: 1})):
+            assert unpack(pack(f, 0, width), 0, width) == f
 
 
 def test_packed_arithmetic_is_polynomial_arithmetic():

@@ -118,6 +118,7 @@ def test_copy_of_a_lone_element_is_the_interned_one(clone):
     mul_simple(x, simple_reflections(datum)[0])
     twin = clone(x)
     assert twin is twin.datum._affine_state.elts[twin.w, twin.lam]
+    assert twin is twin.datum._affine_state.by_serial[hash(twin)]
     assert twin is min_rep(twin.datum, (1, -1))
     assert twin.w is twin.datum._weyl_state.intern[twin.w.matrix]
     s = datum.simple_reflection(1)
