@@ -2,7 +2,7 @@
 
 Monomials are exponent tuples over a fixed number of variables.  This is a
 minimal engine for the graded-module oracle: ring operations, linear
-variable substitution, partial derivatives, and homogeneity checks.
+variable substitution and partial derivatives.
 """
 
 from __future__ import annotations
@@ -76,16 +76,6 @@ class MPoly:
         if not self._c:
             raise ValueError("zero polynomial has no degree")
         return max(sum(e) for e in self._c)
-
-    def homogeneous_degree(self) -> int | None:
-        """Common total degree of all monomials, or None if mixed; zero poly
-        counts as homogeneous of any degree (returns None as a sentinel)."""
-        degs = {sum(e) for e in self._c}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"polynomial is not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
 
     def leading_sign(self) -> int:
         if not self._c:

@@ -570,11 +570,22 @@ def datum_preset(name: str) -> RootDatum:
 
 
 def datum_from_json(obj) -> RootDatum:
+    """The datum of a JSON object with ``simple_roots`` and ``simple_coroots``
+    (and an optional ``name``), or the block product of a nonempty list of
+    them.  Any other shape is a ValueError naming what is wrong."""
     if isinstance(obj, list):
+        if not obj:
+            raise ValueError("a datum list must hold at least one datum")
         datum = datum_from_json(obj[0])
         for block in obj[1:]:
             datum = product_datum(datum, datum_from_json(block))
         return datum
+    if not isinstance(obj, dict):
+        raise ValueError("a datum must be a JSON object or a list of them, "
+                         f"got {json.dumps(obj)}")
+    missing = [key for key in ("simple_roots", "simple_coroots") if key not in obj]
+    if missing:
+        raise ValueError(f"the datum object has no {' or '.join(missing)}")
     return RootDatum(obj["simple_roots"], obj["simple_coroots"], obj.get("name", "custom"))
 
 

@@ -9,6 +9,10 @@ coordinate sits in graded degree 2), equipped with
 * a left multiplication table recording how coordinate functions act
   through the module, used to push scalars across tensor factors.
 
+Each operator is one flat map (row, col, exponents) -> nonzero int (see
+``GradedCModule``): products, equality, degrees and the Hom rows read its
+nonzero coefficients alone.
+
 Atoms are attached to length-zero elements (rank one twists), to finite
 wall crossings (rank two over the invariants of one reflection), and, in
 rank one, to the affine wall crossing.  Chains are built by tensoring atoms
@@ -32,7 +36,7 @@ import operator
 from . import linalg
 from .affine import AffineElt, SimpleReflection
 from .laurent import ONE, ZERO, LaurentPoly, v_power
-from .mpoly import MPoly, _wrap, monomials_of_degree
+from .mpoly import MPoly, monomials_of_degree
 from .rootdata import RootDatum
 
 
@@ -145,52 +149,30 @@ def _products_of_degree(gens: list[MPoly], degree: int, nvars: int):
     return [p for p in out if not p.is_zero() and p.total_degree() == degree]
 
 
-# -- matrix helpers over MPoly ------------------------------------------------------------
+# -- operator maps ---------------------------------------------------------------------------
 
-PolyMatrix = tuple
-
-
-def _pm(rows) -> PolyMatrix:
-    return tuple(tuple(row) for row in rows)
+OpMap = dict   # (row, col, exponents) -> nonzero int; see GradedCModule
 
 
-def _pm_scalar(n: int, p: MPoly) -> PolyMatrix:
-    """p times the n x n identity."""
-    z = MPoly.zero(p.nvars)
-    return tuple(tuple(p if i == j else z for j in range(n)) for i in range(n))
+def _flat(rows) -> OpMap:
+    """The operator map of a matrix written as rows of MPoly entries."""
+    return {(a, i, e): c for a, row in enumerate(rows) for i, p in enumerate(row)
+            for e, c in p._c.items()}
 
 
-def _mpoly_of(nvars: int, c: dict) -> MPoly:
-    """Wrap an accumulated coefficient dict, dropping cancelled monomials."""
-    return _wrap(nvars, {e: a for e, a in c.items() if a})
-
-
-def _pm_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Matrix product, row by row over the nonzero entries of both factors;
-    each output entry is accumulated in one dict and wrapped once."""
+def _pm_mul(a: OpMap, b: OpMap) -> OpMap:
+    """Matrix product: each entry of a meets the entries of b in the row of
+    its column, and cancelled coefficients are dropped."""
     add = operator.add
-    width = len(b[0])
-    b_rows = [[(j, y._c) for j, y in enumerate(row) if y._c] for row in b]
-    out = []
-    for row in a:
-        accs: list[dict[tuple, int]] = [{} for _ in range(width)]
-        for x, b_row in zip(row, b_rows):
-            xc = x._c
-            if not xc:
-                continue
-            for j, yc in b_row:
-                acc = accs[j]
-                for e1, a1 in xc.items():
-                    for e2, a2 in yc.items():
-                        e = tuple(map(add, e1, e2))
-                        acc[e] = acc.get(e, 0) + a1 * a2
-        nv = row[0].nvars
-        out.append(tuple(_mpoly_of(nv, acc) for acc in accs))
-    return tuple(out)
-
-
-def _pm_eq(a: PolyMatrix, b: PolyMatrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    b_rows: dict[int, list] = {}
+    for (k, j, e), y in b.items():
+        b_rows.setdefault(k, []).append((j, e, y))
+    acc: dict[tuple, int] = {}
+    for (i, k, e1), x in a.items():
+        for j, e2, y in b_rows.get(k, ()):
+            key = (i, j, tuple(map(add, e1, e2)))
+            acc[key] = acc.get(key, 0) + x * y
+    return {key: c for key, c in acc.items() if c}
 
 
 # -- graded modules -------------------------------------------------------------------------
@@ -200,9 +182,13 @@ class GradedCModule:
     """A free graded module with wall operators and a left scalar table.
 
     gens[i] is the graded degree of the i-th generator.  theta[j] is the
-    matrix of the j-th wall operator in generator columns: theta_j(e_i) =
-    sum_a e_a * theta[j][a][i].  left[c] likewise gives the action of the
-    c-th linear coordinate multiplying from the left.
+    operator map of the j-th wall operator in generator columns: theta_j(e_i)
+    = sum_a e_a * p_ai, where theta[j][(a, i, exps)] is the coefficient of
+    the monomial u^exps in p_ai.  left[c] likewise gives the action of the
+    c-th linear coordinate multiplying from the left.  A map stores no zero
+    coefficient, so equal operators are equal dicts; the constructor copies
+    the maps, and validation rejects a zero or an entry outside the
+    generators or the variables.
     """
 
     __slots__ = ("datum", "gens", "theta", "left", "_mono_cache")
@@ -210,15 +196,16 @@ class GradedCModule:
     def __init__(self, datum: RootDatum, gens, theta, left):
         self.datum = datum
         self.gens = tuple(int(g) for g in gens)
-        self.theta = tuple(_pm(m) for m in theta)
-        self.left = tuple(_pm(m) for m in left)
+        self.theta = tuple(dict(m) for m in theta)
+        self.left = tuple(dict(m) for m in left)
         # monomial matrices asked for by tensor (with the lower powers they
         # were built from); _validate keeps its own table
-        self._mono_cache: dict[tuple, PolyMatrix] = {}
+        self._mono_cache: dict[tuple, OpMap] = {}
         # the verdict depends only on these tables and the datum, so content
         # equal to a module already validated on this datum is not checked again
         validated = datum._mod_state.validated
-        key = (self.gens, self.theta, self.left)
+        key = (self.gens, tuple(frozenset(m.items()) for m in self.theta),
+               tuple(frozenset(m.items()) for m in self.left))
         if key not in validated:
             self._validate()
             validated[key] = True
@@ -248,9 +235,6 @@ class GradedCModule:
             raise ValueError("need one wall operator per fundamental invariant")
         if len(self.left) != self.nvars:
             raise ValueError("need one left table per coordinate")
-        for mat in self.theta + self.left:
-            if len(mat) != n or any(len(row) != n for row in mat):
-                raise ValueError("operator matrix has wrong shape")
         for j, y in enumerate(invs):
             op_deg = 2 * y.total_degree() - 2
             self._check_homogeneous(self.theta[j], op_deg, f"theta[{j}]")
@@ -258,39 +242,37 @@ class GradedCModule:
             self._check_homogeneous(self.left[c], 2, f"left[{c}]")
         for c in range(self.nvars):
             for d in range(c + 1, self.nvars):
-                if not _pm_eq(_pm_mul(self.left[c], self.left[d]),
-                              _pm_mul(self.left[d], self.left[c])):
+                if _pm_mul(self.left[c], self.left[d]) != _pm_mul(self.left[d], self.left[c]):
                     raise ValueError(f"left tables {c} and {d} do not commute")
-        powers: dict[tuple, PolyMatrix] = {}  # shared by the invariants, dropped on return
+        powers: dict[tuple, OpMap] = {}  # shared by the invariants, dropped on return
         for j, y in enumerate(invs):
-            if not _pm_eq(self._eval_poly(y, powers), _pm_scalar(n, y)):
+            scalar = {(i, i, e): a for i in range(n) for e, a in y._c.items()}
+            if self._eval_poly(y, powers) != scalar:
                 raise ValueError(f"left table does not reproduce invariant {j}")
         for j in range(len(invs)):
             for k in range(j + 1, len(invs)):
-                if not _pm_eq(_pm_mul(self.theta[j], self.theta[k]),
-                              _pm_mul(self.theta[k], self.theta[j])):
+                if _pm_mul(self.theta[j], self.theta[k]) != _pm_mul(self.theta[k], self.theta[j]):
                     raise ValueError(f"wall operators {j} and {k} do not commute")
         for j in range(len(invs)):
             for c in range(self.nvars):
-                if not _pm_eq(_pm_mul(self.theta[j], self.left[c]),
-                              _pm_mul(self.left[c], self.theta[j])):
+                if _pm_mul(self.theta[j], self.left[c]) != _pm_mul(self.left[c], self.theta[j]):
                     raise ValueError(f"theta[{j}] does not commute with left[{c}]")
 
-    def _check_homogeneous(self, mat: PolyMatrix, op_deg: int, name: str) -> None:
-        for a in range(self.size()):
-            for i in range(self.size()):
-                p = mat[a][i]
-                if p.is_zero():
-                    continue
-                want2 = self.gens[i] + op_deg - self.gens[a]
-                if want2 < 0 or want2 % 2:
-                    raise ValueError(f"{name}[{a}][{i}] must vanish by degree")
-                if p.homogeneous_degree() != want2 // 2:
-                    raise ValueError(f"{name}[{a}][{i}] has wrong degree")
+    def _check_homogeneous(self, mat: OpMap, op_deg: int, name: str) -> None:
+        """Each entry nonzero, in range, and of the degree its generators give."""
+        n, r = self.size(), self.nvars
+        for (a, i, e), c in mat.items():
+            if not (0 <= a < n and 0 <= i < n and len(e) == r and min(e) >= 0 and c):
+                raise ValueError(f"{name} has an entry out of range: {(a, i, e)}: {c}")
+            want2 = self.gens[i] + op_deg - self.gens[a]
+            if want2 < 0 or want2 % 2:
+                raise ValueError(f"{name}[{a}][{i}] must vanish by degree")
+            if sum(e) != want2 // 2:
+                raise ValueError(f"{name}[{a}][{i}] has wrong degree")
 
     # -- scalar pushing -----------------------------------------------------------
 
-    def _monomial_matrix(self, exps: tuple, powers: dict) -> PolyMatrix:
+    def _monomial_matrix(self, exps: tuple, powers: dict) -> OpMap:
         """Matrix of left multiplication by the monomial with exponents exps.
 
         Taken from powers if held there; otherwise built with one product
@@ -303,7 +285,7 @@ class GradedCModule:
         cur = exps
         while got is None:
             if not any(cur):
-                got = _pm_scalar(self.size(), MPoly.const(self.nvars, 1))
+                got = {(i, i, cur): 1 for i in range(self.size())}
                 break
             c = next(i for i, k in enumerate(cur) if k)
             path.append((cur, c))
@@ -314,20 +296,15 @@ class GradedCModule:
             powers[key] = got
         return got
 
-    def _eval_poly(self, p: MPoly, powers: dict) -> PolyMatrix:
-        """Matrix of left multiplication by an arbitrary polynomial.
-
-        The monomial matrices come from _monomial_matrix with the given
-        power table; their multiples are summed entrywise into one dict each.
-        """
-        n = self.size()
-        acc = [[{} for _ in range(n)] for _ in range(n)]
+    def _eval_poly(self, p: MPoly, powers: dict) -> OpMap:
+        """Matrix of left multiplication by an arbitrary polynomial: the sum
+        of the monomial matrices from _monomial_matrix, with the given power
+        table, times their coefficients."""
+        acc: dict[tuple, int] = {}
         for exps, a in p._c.items():
-            for arow, mrow in zip(acc, self._monomial_matrix(exps, powers)):
-                for cell, x in zip(arow, mrow):
-                    for e, b in x._c.items():
-                        cell[e] = cell.get(e, 0) + a * b
-        return tuple(tuple(_mpoly_of(self.nvars, cell) for cell in row) for row in acc)
+            for key, b in self._monomial_matrix(exps, powers).items():
+                acc[key] = acc.get(key, 0) + a * b
+        return {key: c for key, c in acc.items() if c}
 
     def __repr__(self) -> str:
         return f"GradedCModule(gens={self.gens}, over {self.datum.name})"
@@ -356,9 +333,9 @@ def atom_E(datum: RootDatum, x: AffineElt) -> GradedCModule:
         for c in range(n):
             if lam[c]:
                 acc = acc + y.deriv(c) * lam[c]
-        theta.append(_pm([[acc]]))
+        theta.append(_flat([[acc]]))
     wmat = x.w.matrix
-    left = [_pm([[MPoly.linear([wmat[c][d] for d in range(n)])]]) for c in range(n)]
+    left = [_flat([[MPoly.linear([wmat[c][d] for d in range(n)])]]) for c in range(n)]
     out = GradedCModule(datum, (0,), theta, left)
     twists[x] = out
     return out
@@ -421,14 +398,13 @@ def atom_D_finite(datum: RootDatum, s: SimpleReflection) -> GradedCModule:
     j_form = coroot_form * g - delta * 2
     q_form = delta * delta + j_form * delta
     invs = fundamental_invariants(datum)
-    zero2 = _pm_scalar(2, MPoly.zero(n))
-    theta = [zero2 for _ in invs]
+    theta = [{} for _ in invs]
     left = []
     for c in range(n):
         inv_c = MPoly.var(n, c) - delta * k[c]
         kc = MPoly.const(n, k[c])
-        left.append(_pm([[inv_c, q_form * k[c]],
-                         [kc, inv_c - j_form * k[c]]]))
+        left.append(_flat([[inv_c, q_form * k[c]],
+                           [kc, inv_c - j_form * k[c]]]))
     return GradedCModule(datum, (-1, 1), theta, left)
 
 
@@ -446,13 +422,13 @@ def atom_D_affine(datum: RootDatum, s: SimpleReflection) -> GradedCModule:
     n = 1
     b = s.root.vec[0]
     u = MPoly.var(n, 0)
-    theta_mat = _pm([[u * (-b), (u * u) * b],
-                     [MPoly.const(n, b), u * (-b)]])
+    theta_mat = _flat([[u * (-b), (u * u) * b],
+                       [MPoly.const(n, b), u * (-b)]])
     invs = fundamental_invariants(datum)
     theta = [theta_mat for _ in invs]
     q_form = u * u
-    left = [_pm([[MPoly.zero(n), q_form],
-                 [MPoly.const(n, 1), MPoly.zero(n)]])]
+    left = [_flat([[MPoly.zero(n), q_form],
+                   [MPoly.const(n, 1), MPoly.zero(n)]])]
     return GradedCModule(datum, (-1, 1), theta, left)
 
 
@@ -473,51 +449,31 @@ def tensor(m: GradedCModule, n: GradedCModule) -> GradedCModule:
     """Tensor over the coordinate ring, pushing scalars through the middle.
 
     Generators are pairs in row-major order.  Wall operators follow the sum
-    rule theta(x & y) = theta(x) & y + x & theta(y), with the first-factor
-    coefficients carried across the second factor by its left table.
+    rule theta(x & y) = theta(x) & y + x & theta(y), with each term of the
+    first factor carried across the second factor by its monomial matrix.
     """
     if m.datum is not n.datum:
         raise ValueError("tensor factors live over different data")
     datum = m.datum
-    nv = m.nvars
-    sm, sn = m.size(), n.size()
-    size = sm * sn
-    gens = tuple(m.gens[i] + n.gens[k] for i in range(sm) for k in range(sn))
+    sn = n.size()
+    gens = tuple(g + h for g in m.gens for h in n.gens)
 
-    def idx(i: int, k: int) -> int:
-        return i * sn + k
+    def carried(table: OpMap, acc: dict) -> OpMap:
+        """acc plus the first factor's table, each term carried across the
+        second factor by the left table of its monomial."""
+        for (a, i, e), c in table.items():
+            for (bq, k, e2), c2 in n._monomial_matrix(e, n._mono_cache).items():
+                key = (a * sn + bq, i * sn + k, e2)
+                acc[key] = acc.get(key, 0) + c * c2
+        return {key: c for key, c in acc.items() if c}
 
-    zero = MPoly.zero(nv)
-
-    def carried(table) -> list:
-        """The first factor's table, its entries carried across the second
-        factor by its left table."""
-        mat = [[zero] * size for _ in range(size)]
-        for i in range(sm):
-            for a in range(sm):
-                p = table[a][i]
-                if p.is_zero():
-                    continue
-                across = n._eval_poly(p, n._mono_cache)
-                for k in range(sn):
-                    for bq in range(sn):
-                        val = across[bq][k]
-                        if not val.is_zero():
-                            mat[idx(a, bq)][idx(i, k)] = mat[idx(a, bq)][idx(i, k)] + val
-        return mat
-
-    invs = fundamental_invariants(datum)
     theta_out = []
-    for j in range(len(invs)):
-        mat = carried(m.theta[j])
-        for i in range(sm):
-            for k in range(sn):
-                for bq in range(sn):
-                    val = n.theta[j][bq][k]
-                    if not val.is_zero():
-                        mat[idx(i, bq)][idx(i, k)] = mat[idx(i, bq)][idx(i, k)] + val
-        theta_out.append(mat)
-    left_out = [carried(m.left[c]) for c in range(nv)]
+    for mt, nt in zip(m.theta, n.theta):
+        # the second factor's operator on each first-factor generator
+        acc = {(i * sn + bq, i * sn + k, e): c for i in range(m.size())
+               for (bq, k, e), c in nt.items()}
+        theta_out.append(carried(mt, acc))
+    left_out = [carried(t, {}) for t in m.left]
     return GradedCModule(datum, gens, theta_out, left_out)
 
 
@@ -564,10 +520,9 @@ def hom_graded_rank(m: GradedCModule, n: GradedCModule, cutoff: int = 16) -> Lau
     r = datum.rank
     if min(n.gens) - max(m.gens) < -cutoff:
         raise CutoffError("cutoff too small for the generator spread")
-    invs = fundamental_invariants(datum)
     dims: dict[int, int] = {}
     for d in range(-cutoff, cutoff + 1):
-        dims[d] = _hom_dim(m, n, invs, d)
+        dims[d] = _hom_dim(m, n, d)
     hseries = LaurentPoly(dims)
     factor = (ONE - v_power(2)) ** r
     product = hseries * factor
@@ -586,64 +541,46 @@ def hom_graded_rank(m: GradedCModule, n: GradedCModule, cutoff: int = 16) -> Lau
     return LaurentPoly(out)
 
 
-def _hom_dim(m: GradedCModule, n: GradedCModule, invs, d: int) -> int:
+def _hom_dim(m: GradedCModule, n: GradedCModule, d: int) -> int:
     """Dimension of the degree-d maps m -> n that commute with the wall
     operators: the unknowns are one coefficient per (generator of m,
-    generator of n, monomial), and each wall operator, source generator and
-    output monomial gives one sparse row of theta_j phi - phi theta_j."""
+    generator of n, monomial), and each wall operator, source generator,
+    target generator and output monomial gives one sparse row of
+    theta_j phi - phi theta_j."""
     add = operator.add
     r = m.nvars
     unknowns = 0
-    by_pair: dict[tuple[int, int], list[tuple[tuple, int]]] = {}
+    into: dict[int, list] = {}    # generator a of n -> (i, monomial, unknown)
+    outof: dict[int, list] = {}   # generator i of m -> (a, monomial, unknown)
     for i, gi in enumerate(m.gens):
         for a, ha in enumerate(n.gens):
             t2 = gi + d - ha
             if t2 < 0 or t2 % 2:
                 continue
-            lst = by_pair.setdefault((i, a), [])
             for mono in monomials_of_degree(r, t2 // 2):
-                lst.append((mono, unknowns))
+                into.setdefault(a, []).append((i, mono, unknowns))
+                outof.setdefault(i, []).append((a, mono, unknowns))
                 unknowns += 1
     if not unknowns:
         return 0
-    rows: list[dict[int, int]] = []
-    for j, y in enumerate(invs):
-        opdeg = 2 * y.total_degree() - 2
-        for i, gi in enumerate(m.gens):
-            for b, hb in enumerate(n.gens):
-                t2 = gi + opdeg + d - hb
-                if t2 < 0 or t2 % 2:
-                    continue
-                # output monomial -> (unknown -> coefficient)
-                out: dict[tuple, dict[int, int]] = {}
-                for a in range(n.size()):
-                    pc = n.theta[j][b][a]._c
-                    if not pc:
-                        continue
-                    for mono, uidx in by_pair.get((i, a), ()):  # theta after phi
-                        for e, c in pc.items():
-                            row = out.setdefault(tuple(map(add, e, mono)), {})
-                            row[uidx] = row.get(uidx, 0) + c
-                for a2 in range(m.size()):
-                    pc = m.theta[j][a2][i]._c
-                    if not pc:
-                        continue
-                    for mono, uidx in by_pair.get((a2, b), ()):  # phi after theta
-                        for e, c in pc.items():
-                            row = out.setdefault(tuple(map(add, e, mono)), {})
-                            row[uidx] = row.get(uidx, 0) - c
-                rows.extend(out.values())
-    return unknowns - linalg.sparse_rank(rows)
+    # (j, source generator, target generator, output monomial) -> row
+    rows: dict[tuple, dict[int, int]] = {}
+    for j, (mt, nt) in enumerate(zip(m.theta, n.theta)):
+        for (b, a, e), c in nt.items():   # theta after phi
+            for i, mono, uidx in into.get(a, ()):
+                row = rows.setdefault((j, i, b, tuple(map(add, e, mono))), {})
+                row[uidx] = row.get(uidx, 0) + c
+        for (a2, i, e), c in mt.items():   # phi after theta
+            for b, mono, uidx in outof.get(a2, ()):
+                row = rows.setdefault((j, i, b, tuple(map(add, e, mono))), {})
+                row[uidx] = row.get(uidx, 0) - c
+    return unknowns - linalg.sparse_rank(list(rows.values()))
 
 
 def modules_equal(m: GradedCModule, n: GradedCModule) -> bool:
     """Equality on the nose: same generators and identical operator tables."""
-    if m.datum is not n.datum or m.gens != n.gens:
-        return False
-    if len(m.theta) != len(n.theta):
-        return False
-    return (all(_pm_eq(a, b) for a, b in zip(m.theta, n.theta))
-            and all(_pm_eq(a, b) for a, b in zip(m.left, n.left)))
+    return (m.datum is n.datum and m.gens == n.gens and m.theta == n.theta
+            and m.left == n.left)
 
 
 # -- comparison with the algebra side -----------------------------------------------------------

@@ -152,6 +152,19 @@ def test_non_integer_datum_entry_is_input_error(capsys, tmp_path, entry):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text,says", [
+    ("5", "JSON object"), ("[]", "at least one"), ('"A1"', "JSON object"),
+    ("null", "JSON object"), ("[5]", "JSON object"),
+    ('{"simple_roots": [[2]]}', "no simple_coroots"),
+])
+def test_malformed_datum_file_is_input_error(capsys, tmp_path, text, says):
+    path = tmp_path / "datum.json"
+    path.write_text(text)
+    rc, out, err = run(capsys, ["verify", "--datum", str(path)])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1 and says in err
+
+
 def test_bad_weight_is_input_error(capsys):
     rc, _, err = run(capsys, ["canonical-basis", "--datum", "A1",
                               "--lambda", "1,1"])

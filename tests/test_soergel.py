@@ -7,10 +7,10 @@ from hsw.affine import affine_identity, simple_reflections, word_elt
 from hsw.laurent import LaurentPoly
 from hsw.mpoly import MPoly
 from hsw.rootdata import datum_preset
-from hsw.soergel import (CutoffError, GradedCModule, _pm_mul, atom_D_finite,
-                         atom_E, atom_for, bs_module, fundamental_invariants,
-                         hom_graded_rank, modules_equal, oracle_vs_hecke,
-                         tensor)
+from hsw.soergel import (CutoffError, GradedCModule, _flat, _pm_mul,
+                         atom_D_finite, atom_E, atom_for, bs_module,
+                         fundamental_invariants, hom_graded_rank,
+                         modules_equal, oracle_vs_hecke, tensor)
 from hsw.spherical import hom_rank
 
 
@@ -133,10 +133,10 @@ def test_twist_atoms_compose(a1):
 def test_validation_rejects_tampering(a1):
     s, _ = simple_reflections(a1)
     m = atom_D_finite(a1, s)
-    theta = [[list(row) for row in mat] for mat in m.theta]
+    theta = _tables(m.theta, 2, 1)
     theta[0][0][0] = theta[0][0][0] + MPoly.const(1, 1)
     with pytest.raises(ValueError):
-        GradedCModule(a1, m.gens, theta, m.left)
+        GradedCModule(a1, m.gens, [_flat(t) for t in theta], m.left)
     with pytest.raises(ValueError):
         GradedCModule(a1, m.gens, [], m.left)
     with pytest.raises(ValueError):
@@ -164,6 +164,19 @@ def test_oracle_row(a1):
 # -- matrix kernels against naive products written here ---------------------------------
 
 
+def _dense(op, nrows, ncols, nv):
+    """The rows of MPoly entries of an operator map: a dense view of the
+    flat format, written here."""
+    rows = [[{} for _ in range(ncols)] for _ in range(nrows)]
+    for (a, i, e), c in op.items():
+        rows[a][i][e] = c
+    return [[MPoly(nv, cell) for cell in row] for row in rows]
+
+
+def _tables(ops, size, nv):
+    return [_dense(op, size, size, nv) for op in ops]
+
+
 def _naive_mul(a, b):
     """Entrywise sum of MPoly products, the textbook matrix product."""
     nv = a[0][0].nvars
@@ -177,10 +190,6 @@ def _naive_mul(a, b):
             orow.append(acc)
         out.append(orow)
     return out
-
-
-def _same(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def _rand_poly(rng, nv):
@@ -200,24 +209,24 @@ def test_pm_mul_matches_naive_product(a2, g2):
         e = affine_identity(datum)
         s1, s2 = simple_reflections(datum)[:2]
         chain = bs_module(datum, e, (s1, s2))
-        for a, b in [(chain.left[0], chain.left[1]),
-                     (chain.left[1], chain.left[0]),
-                     (atom_for(datum, s2).left[0], atom_for(datum, s1).left[1])]:
-            assert _same(_pm_mul(a, b), _naive_mul(a, b))
+        atom1, atom2 = atom_for(datum, s1), atom_for(datum, s2)
+        for a, b, size in [(chain.left[0], chain.left[1], chain.size()),
+                           (chain.left[1], chain.left[0], chain.size()),
+                           (atom2.left[0], atom1.left[1], 2)]:
+            want = _naive_mul(_dense(a, size, size, nv), _dense(b, size, size, nv))
+            assert _dense(_pm_mul(a, b), size, size, nv) == want
         for n, m, k in [(1, 1, 1), (2, 2, 2), (4, 4, 4), (2, 3, 4), (4, 1, 2)]:
             for _ in range(8):
                 a = [[_rand_poly(rng, nv) for _ in range(m)] for _ in range(n)]
                 b = [[_rand_poly(rng, nv) for _ in range(k)] for _ in range(m)]
-                got = _pm_mul(a, b)
-                assert len(got) == n and all(len(row) == k for row in got)
-                assert _same(got, _naive_mul(a, b))
-                # cancelled monomials are dropped, so zero entries are empty
-                assert all(all(got_c for got_c in x._c.values())
-                           for row in got for x in row)
-    # a product whose entry cancels to zero
+                got = _pm_mul(_flat(a), _flat(b))
+                assert all(0 <= i < n and 0 <= j < k for i, j, _ in got)
+                assert _dense(got, n, k, nv) == _naive_mul(a, b)
+                # cancelled monomials are dropped, so no zero is stored
+                assert all(got.values())
+    # a product whose only entry cancels to zero
     x, y = MPoly.var(2, 0), MPoly.var(2, 1)
-    got = _pm_mul([[x, -x]], [[y], [y]])
-    assert got[0][0].is_zero() and got[0][0] == MPoly.zero(2)
+    assert _pm_mul(_flat([[x, -x]]), _flat([[y], [y]])) == {}
 
 
 def test_monomial_matrix_matches_product_from_identity(g2):
@@ -225,8 +234,9 @@ def test_monomial_matrix_matches_product_from_identity(g2):
     s1, s2 = simple_reflections(g2)[:2]
     m = bs_module(g2, e, (s1, s2))
     one, zero = MPoly.const(2, 1), MPoly.zero(2)
-    identity = [[one if i == j else zero for j in range(m.size())]
-                for i in range(m.size())]
+    size = m.size()
+    identity = [[one if i == j else zero for j in range(size)] for i in range(size)]
+    left = _tables(m.left, size, 2)
     powers = {}   # shared over every monomial, so lower powers are reused
     monos = [exps for y in fundamental_invariants(g2) for exps in y._c]
     assert max(sum(exps) for exps in monos) == 6
@@ -234,16 +244,16 @@ def test_monomial_matrix_matches_product_from_identity(g2):
         want = identity
         for c, k in enumerate(exps):
             for _ in range(k):
-                want = _naive_mul(want, m.left[c])
-        assert _same(m._monomial_matrix(exps, powers), want)
-        assert _same(m._monomial_matrix(exps, {}), want)
+                want = _naive_mul(want, left[c])
+        assert _dense(m._monomial_matrix(exps, powers), size, size, 2) == want
+        assert _dense(m._monomial_matrix(exps, {}), size, size, 2) == want
     # every power built on the way is a correct power too
     for exps, mat in powers.items():
         want = identity
         for c, k in enumerate(exps):
             for _ in range(k):
-                want = _naive_mul(want, m.left[c])
-        assert _same(mat, want)
+                want = _naive_mul(want, left[c])
+        assert _dense(mat, size, size, 2) == want
 
 
 # -- each atom and chain is built once per datum -------------------------------------------
@@ -312,11 +322,11 @@ def test_equal_content_is_validated_once(monkeypatch):
     assert modules_equal(right, aba)
     assert validated == []
     # a copy with one tampered entry is validated in full, every time
-    left = [[list(row) for row in mat] for mat in m.left]
+    left = _tables(m.left, m.size(), 2)
     left[0][0][0] = left[0][0][0] + MPoly.var(2, 1)
     for _ in range(2):
         with pytest.raises(ValueError, match="do not commute"):
-            GradedCModule(datum, m.gens, m.theta, left)
+            GradedCModule(datum, m.gens, m.theta, [_flat(t) for t in left])
     assert len(validated) == 2
     # so is new content, once
     tensor(aba, b)
@@ -327,10 +337,6 @@ def test_equal_content_is_validated_once(monkeypatch):
 # -- every branch of the constructor's validation -----------------------------------------
 
 
-def _tables(mats):
-    return [[list(row) for row in mat] for mat in mats]
-
-
 def test_validate_rejects_each_branch(g2):
     e = affine_identity(g2)
     s1, s2 = simple_reflections(g2)[:2]
@@ -338,14 +344,32 @@ def test_validate_rejects_each_branch(g2):
     assert m.gens == (-2, 0, 0, 2)
     u1, u2 = MPoly.var(2, 0), MPoly.var(2, 1)
     zero = MPoly.zero(2)
+    size = m.size()
     # the untampered tables pass
     GradedCModule(g2, m.gens, m.theta, m.left)
 
+    # entries outside the generators or the variables, and stored zeros
+    for key, c in [((size, 0, (0, 0)), 1), ((0, -1, (0, 0)), 1),
+                   ((1, 2, (2, -1)), 1), ((1, 2, (1,)), 1), ((1, 2, (1, 0)), 0)]:
+        with pytest.raises(ValueError, match=r"left\[0\] has an entry out of range"):
+            GradedCModule(g2, m.gens, m.theta, [{**m.left[0], key: c}, m.left[1]])
+
+    # degrees: a constant where a linear form belongs, and an entry from the
+    # top generator to the bottom one
+    left = _tables(m.left, size, 2)
+    left[0][1][2] = left[0][1][2] + MPoly.const(2, 1)
+    with pytest.raises(ValueError, match=r"left\[0\]\[1\]\[2\] has wrong degree"):
+        GradedCModule(g2, m.gens, m.theta, [_flat(t) for t in left])
+    left = _tables(m.left, size, 2)
+    left[1][3][0] = MPoly.const(2, 1)
+    with pytest.raises(ValueError, match=r"left\[1\]\[3\]\[0\] must vanish by degree"):
+        GradedCModule(g2, m.gens, m.theta, [_flat(t) for t in left])
+
     # left tables: a linear term between the two degree-0 generators
-    left = _tables(m.left)
+    left = _tables(m.left, size, 2)
     left[0][1][2] = left[0][1][2] + u1
     with pytest.raises(ValueError, match="left tables 0 and 1 do not commute"):
-        GradedCModule(g2, m.gens, m.theta, left)
+        GradedCModule(g2, m.gens, m.theta, [_flat(t) for t in left])
 
     # invariants: add a summand on two degree-0 generators where u_c acts as
     # u_c + n_c * E12; the vector field n kills the quadratic invariant y0
@@ -354,13 +378,12 @@ def test_validate_rejects_each_branch(g2):
     n = (y0.deriv(1), -y0.deriv(0))
     assert n[0] * y0.deriv(0) + n[1] * y0.deriv(1) == zero
     assert not (n[0] * y1.deriv(0) + n[1] * y1.deriv(1)).is_zero()
-    size = m.size()
 
-    def with_summand(mat, block):
-        rows = [list(row) + [zero, zero] for row in mat]
+    def with_summand(op, block):
+        rows = [row + [zero, zero] for row in _dense(op, size, size, 2)]
         rows.append([zero] * size + list(block[0]))
         rows.append([zero] * size + list(block[1]))
-        return rows
+        return _flat(rows)
 
     coords = (u1, u2)
     left = [with_summand(m.left[c], [[coords[c], n[c]], [zero, coords[c]]])
@@ -371,17 +394,28 @@ def test_validate_rejects_each_branch(g2):
 
     # wall operators: matrix units between the degree-0 generators, of the
     # operator degrees 2 and 10, do not commute with each other
-    theta = _tables(m.theta)
+    theta = _tables(m.theta, size, 2)
     theta[0][1][2] = u1
     theta[1][2][1] = u1 * y0 * y0
     with pytest.raises(ValueError, match="wall operators 0 and 1 do not commute"):
-        GradedCModule(g2, m.gens, theta, m.left)
+        GradedCModule(g2, m.gens, [_flat(t) for t in theta], m.left)
 
     # wall operator against the left tables
-    theta = _tables(m.theta)
+    theta = _tables(m.theta, size, 2)
     theta[0][1][2] = u1
     with pytest.raises(ValueError, match=r"theta\[0\] does not commute with left"):
-        GradedCModule(g2, m.gens, theta, m.left)
+        GradedCModule(g2, m.gens, [_flat(t) for t in theta], m.left)
+
+
+def test_validated_key_keeps_theta_and_left_apart(g2):
+    # the same operators, one moved from the left tables to the wall
+    # operators, are new content and fail validation
+    e = affine_identity(g2)
+    s1, s2 = simple_reflections(g2)[:2]
+    m = bs_module(g2, e, (s1, s2))
+    GradedCModule(g2, m.gens, m.theta, m.left)
+    with pytest.raises(ValueError, match="need one wall operator per fundamental invariant"):
+        GradedCModule(g2, m.gens, m.theta + m.left[:1], m.left[1:])
 
 
 def dense_hom_dim(m, n, invs, d):
@@ -392,6 +426,8 @@ def dense_hom_dim(m, n, invs, d):
     from hsw import linalg
     from hsw.mpoly import monomials_of_degree
     r = m.nvars
+    m_theta = _tables(m.theta, m.size(), r)
+    n_theta = _tables(n.theta, n.size(), r)
     unknowns = []
     by_pair = {}
     for i, gi in enumerate(m.gens):
@@ -415,7 +451,7 @@ def dense_hom_dim(m, n, invs, d):
                     continue
                 contrib = {}
                 for a in range(n.size()):
-                    pc = n.theta[j][b][a]._c
+                    pc = n_theta[j][b][a]._c
                     if not pc:
                         continue
                     for mono, uidx in by_pair.get((i, a), ()):
@@ -424,7 +460,7 @@ def dense_hom_dim(m, n, invs, d):
                             e = tuple(map(add, e, mono))
                             acc[e] = acc.get(e, 0) + c
                 for a2 in range(m.size()):
-                    pc = m.theta[j][a2][i]._c
+                    pc = m_theta[j][a2][i]._c
                     if not pc:
                         continue
                     for mono, uidx in by_pair.get((a2, b), ()):
@@ -465,7 +501,7 @@ def test_sparse_hom_rows_match_the_dense_oracle(name, max_word):
     for m in modules:
         for n in modules:
             for d in range(-16, 17):
-                got = soergel._hom_dim(m, n, invs, d)
+                got = soergel._hom_dim(m, n, d)
                 assert got == dense_hom_dim(m, n, invs, d), (m, n, d)
                 nonzero += got > 0
     assert nonzero
