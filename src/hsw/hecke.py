@@ -19,18 +19,28 @@ The letter-chain kernel (``_apply``) runs these steps on integers.  A term
 is keyed by the serial of its element, and each step y -> ys of a letter is
 held as one int in the table ``steps``: the serial of ys shifted left once,
 with the descent bit l(ys) < l(y) as its last bit.  Each coefficient is
-packed into one int with signed 64-bit digits (``laurent.pack``), so that
-multiplying by v or v^-1 is a shift and the step is c_ys +- ((c << 64) -
-(c >> 64)).  A step at most triples the largest coefficient, so a chain is
-cut into segments where the bound 3^k stays below 2^61; each segment starts
-from the exact coefficients read back from the one before, and digits are
-widened by 64 bits when the coefficients themselves need it, so results
-stay exact at any size.
+packed into one int with signed digits of w bits, w a multiple of 64
+(``laurent.pack``), so that multiplying by v or v^-1 is a shift and the
+step is c_ys +- ((c << w) - (c >> w)).
+
+The packed form is made and read in one place, ``_product``: it packs a
+term map once, runs each chain of letters on c times it, adds the results
+in packed form, and reads the sum back once.  A step at most
+triples the largest coefficient, so w leaves room for the exact largest
+coefficient times 3^k, for the longest chain of k letters, times the sum of
+the coefficients c; results stay exact at any size.
 
 General products (``hecke_mul``) expand the right operand in the standard
-basis and factor each of its terms through a reduced word.  An operand that
-is known as a product of basis symbols and their inverses is applied by
-``hecke_mul_factors`` one letter at a time instead, and is never expanded.
+basis and run the letters of a reduced word of each of its terms, all in
+one ``_product``; the bar (``hecke_bar``) is one ``_product`` from the
+identity over the letters of (T_{x^-1})^-1 for every term c T_x, with
+coefficients bar(c).  An operand that is known as a product of basis
+symbols and their inverses is applied by ``hecke_mul_factors`` one letter
+at a time instead, and is never expanded; its chain is cut every 36 letters
+that are not omega (15 * 3^36 < 2^61, so a segment from coefficients up to
+15 keeps 64-bit digits), one ``_product`` per segment, each from the exact
+coefficients read back from the one before.
+
 The commutative family theta_lam is defined by theta_lam = T_{t_mu}
 T_{t_nu}^{-1} for any splitting lam = mu - nu into dominant weights; those
 two factors are ``theta_factors``.  Independence of the splitting is part of
@@ -53,7 +63,7 @@ import itertools
 
 from .affine import (AffineElt, affine_identity, from_weyl, reduced_word,
                      simple_reflections, translation)
-from .laurent import ONE, Combination, LaurentPoly, add_into, pack, unpack, v_power
+from .laurent import ONE, Combination, pack, unpack, v_power
 from .rootdata import RootDatum, pair, vec_add, vec_scale, vec_sub
 
 
@@ -90,12 +100,10 @@ class HeckeElt(Combination):
 # -- core multiplication ------------------------------------------------------------
 
 
-def _width(bound: int) -> int:
-    """The fewest digit bits, a multiple of 64, with bound < 2^(width - 3)."""
-    return 64 * ((bound.bit_length() + 66) // 64)
+_CUT = 36  # letters per segment of hecke_mul_factors: 15 * 3^36 < 2^61
 
 
-def _letters(x: AffineElt, sign: int) -> tuple[int, list]:
+def _letters(x: AffineElt, sign: int) -> tuple[list, int]:
     """The steps of T_x (sign 1) or T_x^-1 (sign -1), held per element in
     the table ``letters``, with the number of them that are not omega.
 
@@ -114,9 +122,9 @@ def _letters(x: AffineElt, sign: int) -> tuple[int, list]:
         else:
             seq = [(s.elt, -1) for s in reversed(word)] + [(om.inverse(), 0)]
         steps = state.steps
-        held = state.letters[key] = (len(word), [
+        held = state.letters[key] = ([
             (steps.setdefault(g._serial, {}), g, sgn)
-            for g, sgn in seq if sgn or not g.is_identity()])
+            for g, sgn in seq if sgn or not g.is_identity()], len(word))
     return held
 
 
@@ -166,57 +174,51 @@ def _apply(cur: dict, letters, width: int, by_serial: list) -> dict:
     return cur
 
 
-def _extent(polys) -> tuple[int, int]:
-    """The largest coefficient in absolute value and the least exponent of
-    the polynomials polys."""
-    top, low = 0, None
-    for c in polys:
-        c = c._c
-        t, e = max(map(abs, c.values())), min(c)
-        if t > top:
-            top = t
-        if low is None or e < low:
-            low = e
-    return top, low
+def _product(datum: RootDatum, terms: dict, chains) -> dict:
+    """The terms (element -> coefficient) times the sum of c times each chain,
+    for chains (letters, k, c) of letters from ``_letters`` with k of them
+    not omega, as a term map.
+
+    The only place where the packed form is made and read: the terms are
+    packed once, with digits wide enough for the whole sum from the exact
+    largest coefficient, each chain runs on c times them, and the results
+    are added in packed form and read back once.
+    """
+    if not terms or not chains:
+        return {}
+    by_serial = datum._affine_state.by_serial
+    top = max(max(map(abs, c._c.values())) for c in terms.values())
+    depth = max(k for _, k, _ in chains)
+    scale = sum(sum(map(abs, c._c.values())) for _, _, c in chains)
+    # the fewest digit bits, a multiple of 64, with room for the sum below 2^(width - 3)
+    width = 64 * (((top * 3 ** depth * scale).bit_length() + 66) // 64)
+    base = min(min(c._c) for c in terms.values()) - depth
+    shift = min(min(c._c) for _, _, c in chains)
+    packed = {x._serial: pack(c, base, width) for x, c in terms.items()}
+    acc: dict[int, int] = {}
+    for letters, _, c in chains:
+        m = pack(c, shift, width)
+        # c scales the input: one product per term rather than one per result
+        out = _apply(packed if m == 1 else {y: p * m for y, p in packed.items()},
+                     letters, width, by_serial)
+        if not acc and out is not packed:
+            acc = out  # the first result is the sum so far: no second dict
+            continue
+        get = acc.get
+        for y, p in out.items():
+            acc[y] = get(y, 0) + p
+    del packed, out  # freed before the terms read back are built, which sets the peak memory
+    base += shift
+    return {by_serial[y]: unpack(p, base, width) for y, p in acc.items() if p}
 
 
 def hecke_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
-    """Product in the standard basis, factoring b through reduced words.
-
-    a is packed once, with digits wide enough for the whole sum; each term
-    c T_x of b runs the letters of x on it and adds c times the result.
-    """
+    """Product in the standard basis: each term c T_x of b runs the letters
+    of x on a, and the results add up in one ``_product``."""
     if a.datum is not b.datum:
         raise ValueError("operands live over different data")
-    datum = a.datum
-    if not a._m or not b._m:
-        return HeckeElt(datum, {})
-    by_serial = datum._affine_state.by_serial
-    chains = []
-    depth = scale = 0
-    shift = None
-    for x, c in b._m.items():
-        k, letters = _letters(x, 1)
-        chains.append((letters, c))
-        depth = max(depth, k)
-        c = c._c
-        scale += sum(map(abs, c.values()))
-        e = min(c)
-        if shift is None or e < shift:
-            shift = e
-    top, low = _extent(a._m.values())
-    width = _width(top * 3 ** depth * scale)
-    base = low - depth
-    packed = {x._serial: pack(c, base, width) for x, c in a._m.items()}
-    acc: dict[int, int] = {}
-    get = acc.get
-    for letters, c in chains:
-        m = pack(c, shift, width)
-        for y, p in _apply(packed, letters, width, by_serial).items():
-            acc[y] = get(y, 0) + (p if m == 1 else p * m)
-    base += shift
-    return HeckeElt(datum, {by_serial[y]: unpack(p, base, width)
-                            for y, p in acc.items() if p})
+    return HeckeElt(a.datum, _product(a.datum, a._m,
+                                      [(*_letters(x, 1), c) for x, c in b._m.items()]))
 
 
 def hecke_mul_factors(a: HeckeElt, factors) -> HeckeElt:
@@ -224,10 +226,9 @@ def hecke_mul_factors(a: HeckeElt, factors) -> HeckeElt:
     where F is T_x for sign +1 and T_x^{-1} for sign -1.
 
     The letters of all factors run as one chain, so the operand is never
-    expanded in the standard basis.  The chain is cut into segments: each
-    packs the terms with room for as many letters as the growth bound 3^k
-    allows below 2^(width - 3), from the exact largest coefficient, and
-    reads them back at its end.
+    expanded in the standard basis.  The chain is cut into segments of 36
+    letters that are not omega (``_CUT``), and each segment is one
+    ``_product`` from the exact terms the one before read back.
     """
     datum = a.datum
     letters = []
@@ -236,29 +237,16 @@ def hecke_mul_factors(a: HeckeElt, factors) -> HeckeElt:
             raise ValueError("operands live over different data")
         if sign not in (1, -1):
             raise ValueError(f"factor sign must be 1 or -1, not {sign!r}")
-        letters += _letters(x, sign)[1]
-    by_serial = datum._affine_state.by_serial
-    terms = a._m
-    pos = 0
-    while terms and pos < len(letters):
-        top, low = _extent(terms.values())
-        # digits with room for 32 letters, or for all that are left
-        left = sum(1 for step in letters[pos:] if step[2])
-        width = _width(top * 3 ** min(left, 32))
-        limit = 1 << (width - 3)
-        end, depth = pos, 0
-        while end < len(letters):
-            if letters[end][2]:
-                if top * 3 >= limit:
-                    break
-                top *= 3
-                depth += 1
-            end += 1
-        base = low - depth
-        cur = _apply({x._serial: pack(c, base, width) for x, c in terms.items()},
-                     letters[pos:end], width, by_serial)
-        terms = {by_serial[y]: unpack(p, base, width) for y, p in cur.items()}
-        pos = end
+        letters += _letters(x, sign)[0]
+    terms, cut, k = a._m, 0, 0
+    for i, step in enumerate(letters):
+        if step[2]:
+            if k == _CUT:
+                terms = _product(datum, terms, [(letters[cut:i], k, ONE)])
+                cut, k = i, 0
+            k += 1
+    if letters:
+        terms = _product(datum, terms, [(letters[cut:], k, ONE)])
     return HeckeElt(datum, terms)
 
 
@@ -277,11 +265,12 @@ def hecke_bar_T(x: AffineElt) -> HeckeElt:
 
 
 def hecke_bar(a: HeckeElt) -> HeckeElt:
-    """The bar involution: v -> v^-1 on coefficients, T_x -> (T_{x^-1})^-1."""
-    acc: dict[AffineElt, LaurentPoly] = {}
-    for x, c in a._m.items():
-        add_into(acc, hecke_bar_T(x)._m.items(), c.bar())
-    return HeckeElt(a.datum, acc)
+    """The bar involution: v -> v^-1 on coefficients, T_x -> (T_{x^-1})^-1,
+    as one ``_product`` from the identity over the letters of every term."""
+    datum = a.datum
+    return HeckeElt(datum, _product(datum, {affine_identity(datum): ONE},
+                                    [(*_letters(x.inverse(), -1), c.bar())
+                                     for x, c in a._m.items()]))
 
 
 # -- the commutative family -----------------------------------------------------------

@@ -13,7 +13,8 @@ graded-module oracle's Hom systems are: each row is reduced only against
 the pivot of its leading column, by a * row - b * pivot with the cofactors
 of a gcd, and divided by its content, so rows with a zero in a pivot column
 are never touched.  The dense ``rank`` is its oracle in the tests.  Nothing
-is modified in place.
+is modified in place.  ``bezout`` gives the gcd of a list of integers with
+one cofactor vector; the graded-module oracle splits its wall atoms by it.
 
 This module is a leaf: it imports nothing from the package.
 """
@@ -74,6 +75,37 @@ def _primitive(vec: list[int], unit: int = 1) -> list[int]:
     if unit < 0:
         g = -g
     return [x // g for x in vec]
+
+
+def bezout(values: Sequence[int]) -> tuple[int, list[int]]:
+    """(g, x) with g the gcd of values (0 when all vanish) and sum x_i *
+    values_i = g, by the extended Euclidean algorithm on the gcd so far and
+    each nonzero value in turn.
+
+    >>> bezout([0, -6, 4])
+    (2, [0, -1, -1])
+    """
+    g, coeffs = 0, [0] * len(values)
+    for i, a in enumerate(values):
+        if a == 0:
+            continue
+        old_r, r, old_x, x, old_y, y = g, a, 1, 0, 0, 1
+        while r:
+            q = old_r // r
+            old_r, r = r, old_r - q * r
+            old_x, x = x, old_x - q * x
+            old_y, y = y, old_y - q * y
+        if old_r < 0:
+            old_x, old_y = -old_x, -old_y
+        h = old_x * g + old_y * a
+        if h != math.gcd(g, a):
+            raise RuntimeError(f"extended gcd of {g} and {a} returned {h}")
+        coeffs = [c * old_x for c in coeffs]
+        coeffs[i] += old_y
+        g = h
+    if sum(c * a for c, a in zip(coeffs, values)) != g:
+        raise RuntimeError(f"cofactors {coeffs} do not combine {values} to {g}")
+    return g, coeffs
 
 
 def rank(rows: IntMatrix) -> int:

@@ -30,7 +30,6 @@ raise instead of truncating silently.
 
 from __future__ import annotations
 
-import math
 import operator
 
 from . import linalg
@@ -341,44 +340,6 @@ def atom_E(datum: RootDatum, x: AffineElt) -> GradedCModule:
     return out
 
 
-def _ext_gcd_list(values: list[int]) -> tuple[int, list[int]]:
-    """gcd of the list together with one integer cofactor vector."""
-    g, coeffs = 0, [0] * len(values)
-    for i, a in enumerate(values):
-        if a == 0:
-            continue
-        if g == 0:
-            g = abs(a)
-            coeffs = [0] * len(values)
-            coeffs[i] = 1 if a > 0 else -1
-            continue
-        old_g = g
-        x, y = _ext_gcd(g, a)
-        g = x * g + y * a
-        coeffs = [c * x for c in coeffs]
-        coeffs[i] += y
-        if g != math.gcd(old_g, a):
-            raise RuntimeError(f"extended gcd of {old_g} and {a} returned {g}")
-    if sum(c * a for c, a in zip(coeffs, values)) != g:
-        raise RuntimeError(f"cofactors {coeffs} do not combine {values} to {g}")
-    return g, coeffs
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int]:
-    """(x, y) with x*a + y*b = gcd(a, b) > 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_x, x = x, old_x - qq * x
-        old_y, y = y, old_y - qq * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_x, old_y
-
-
 def atom_D_finite(datum: RootDatum, s: SimpleReflection) -> GradedCModule:
     """The two-generator wall atom of a finite simple reflection.
 
@@ -391,7 +352,7 @@ def atom_D_finite(datum: RootDatum, s: SimpleReflection) -> GradedCModule:
         raise ValueError("finite wall atom needs a finite generator")
     n = datum.rank
     alpha = s.root.vec
-    g, bezout = _ext_gcd_list(list(alpha))
+    g, bezout = linalg.bezout(alpha)
     k = [a // g for a in alpha]
     delta = MPoly.linear(bezout)
     coroot_form = MPoly.linear(list(s.root.cov))

@@ -105,13 +105,10 @@ def sph_project(h: HeckeElt) -> SphElt:
 
 
 def sph_act(m: SphElt, h: HeckeElt) -> SphElt:
-    """Right action: m_lam * h = projection of T_{w_lam} h."""
+    """Right action: m_lam * h = projection of T_{w_lam} h, for every term at once."""
     datum = m.datum
-    acc: dict[Vec, LaurentPoly] = {}
-    for lam, c in m._m.items():
-        prod = hecke_mul(hecke_T(min_rep(datum, lam)), h)
-        add_into(acc, sph_project(prod)._m.items(), c)
-    return SphElt(datum, acc)
+    return sph_project(hecke_mul(HeckeElt(datum, {min_rep(datum, lam): c
+                                                  for lam, c in m._m.items()}), h))
 
 
 def _shift_into(acc: dict, key, f: dict, k: int, a: int = 1) -> None:

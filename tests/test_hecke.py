@@ -1,4 +1,6 @@
+import ast
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from hsw import hecke
 from hsw.affine import (affine_identity, length_box, min_rep, mul_simple, omega_elements,
                         reduced_word, simple_reflections, translation)
-from hsw.hecke import (HeckeElt, _dominant_split, hecke_bar, hecke_bar_T,
+from hsw.hecke import (HeckeElt, _dominant_split, hecke_bar,
                        hecke_inv_T, hecke_mul, hecke_mul_factors, hecke_T, hecke_theta,
                        verify_bernstein, verify_quadratic_affine,
                        verify_quadratic_all)
@@ -60,6 +62,16 @@ def _rmul_omega(m, om):
     return {y * om: c for y, c in m.items()}
 
 
+def _add_scaled(acc, m, c):
+    """acc += c * m on term maps, dropping cancelled terms."""
+    for y, d in m.items():
+        total = acc.get(y, ZERO) + d * c
+        if total:
+            acc[y] = total
+        else:
+            acc.pop(y, None)
+
+
 def mul_oracle(a, b):
     """hecke_mul on term maps, letter by letter on Laurent coefficients."""
     acc = {}
@@ -68,12 +80,7 @@ def mul_oracle(a, b):
         cur = _rmul_omega(a, om)
         for s in word:
             cur = _rmul_simple(cur, s)
-        for y, d in cur.items():
-            total = acc.get(y, ZERO) + d * c
-            if total:
-                acc[y] = total
-            else:
-                acc.pop(y, None)
+        _add_scaled(acc, cur, c)
     return acc
 
 
@@ -90,6 +97,16 @@ def mul_factors_oracle(a, factors):
                 cur = _rmul_simple(cur, s, -1)
             cur = _rmul_omega(cur, om.inverse())
     return cur
+
+
+def bar_oracle(a):
+    """hecke_bar on term maps: c T_x goes to bar(c) (T_{x^-1})^-1, each
+    expanded by ``mul_factors_oracle``."""
+    acc = {}
+    for x, c in a.items():
+        one = {affine_identity(x.datum): ONE}
+        _add_scaled(acc, mul_factors_oracle(one, [(x.inverse(), -1)]), c.bar())
+    return acc
 
 
 def rand_elt(datum, rng, max_len=4):
@@ -246,6 +263,29 @@ def test_kernel_matches_the_pair_oracle(name):
         assert got == mul_factors_oracle(a, factors)
 
 
+def test_only_the_product_packs():
+    # the packed form is made and read in laurent.py and in hecke._product
+    # alone: any other reference to pack or unpack under src/hsw is listed
+    stray = []
+    for path in sorted(pathlib.Path(hecke.__file__).parent.glob("*.py")):
+        if path.name == "laurent.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        inside = set()
+        for node in tree.body:
+            if path.name == "hecke.py" and getattr(node, "name", None) == "_product":
+                inside = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names
+                         if path.name != "hecke.py" or a.asname or node.module != "laurent"]
+            else:
+                names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+            if {"pack", "unpack"} & set(names) and id(node) not in inside:
+                stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+
+
 def _spy_segments(monkeypatch):
     """Record (letters, digit width) of every segment the kernel runs."""
     calls = []
@@ -262,7 +302,7 @@ def _spy_segments(monkeypatch):
 @pytest.mark.parametrize("name", PRESETS)
 def test_long_chain_is_cut_into_segments(name, monkeypatch):
     # 120 letters: the bound 3^120 is far beyond 2^64, though the
-    # coefficients of T_s^-120 stay small; the chain is re-read every 38 letters
+    # coefficients of T_s^-120 stay small; the chain is re-read every 36 letters
     datum = datum_preset(name)
     calls = _spy_segments(monkeypatch)
     one = HeckeElt.one(datum)
@@ -271,7 +311,7 @@ def test_long_chain_is_cut_into_segments(name, monkeypatch):
         factors = [(s.elt, -1)] * 120
         got = hecke_mul_factors(one, factors)._m
         assert got == mul_factors_oracle(one._m, factors)
-        assert calls == [(38, 64)] * 3 + [(6, 64)]
+        assert calls == [(36, 64)] * 3 + [(12, 64)]
 
 
 def test_coefficients_beyond_64_bits_stay_exact(monkeypatch):
@@ -281,13 +321,13 @@ def test_coefficients_beyond_64_bits_stay_exact(monkeypatch):
         pool = _kernel_pool(datum)
         s1, s2 = simple_reflections(datum)[:2]
         factors = [(s1.elt, 1), (s2.elt, -1)] * 30 + [(pool[-1], -1), (pool[3], 1)]
-        for big, width in ((1 << 55, 128), (1 << 70, 128), (-(1 << 200) + 3, 256)):
+        for big, width in ((1 << 55, 128), (1 << 70, 192), (-(1 << 200) + 3, 320)):
             a = {pool[0]: LaurentPoly({0: big, 2: -3}), pool[4]: LaurentPoly({-1: big // 7})}
             calls.clear()
             got = hecke_mul_factors(HeckeElt(datum, a), factors)._m
             assert got == mul_factors_oracle(a, factors)
-            # a start near 2^61 leaves room for fewer letters, so the chain
-            # is cut, and a larger one widens the digits
+            # the chain is cut after 36 letters, and the first segment's
+            # digits hold the start times 3^36
             assert len(calls) > 1 and calls[0][1] == width
             b = {pool[5]: LaurentPoly({3: big, -2: 1}), pool[-2]: -V}
             assert hecke_mul(HeckeElt(datum, a), HeckeElt(datum, b))._m == mul_oracle(a, b)
@@ -357,10 +397,42 @@ def test_bar_of_sum_is_sum_of_term_bars(a1, a2):
         for _ in range(4):
             a = a + hecke_T(rand_elt(datum, rng)).scale(LaurentPoly({2: 1, -1: -3}))
         assert len(a.support()) > 2
-        want = HeckeElt.zero(datum)
-        for x, c in a.items():
-            want = want + hecke_bar_T(x).scale(c.bar())
-        assert hecke_bar(a) == want
+        assert hecke_bar(a)._m == bar_oracle(a._m)
+
+
+# terms longer than a segment of hecke_mul_factors, which one _product runs
+# in one pass of wide digits
+@pytest.mark.parametrize("name,lam,long", [("A1", (-40,), (41,)), ("G2", (-1, -2), (3, 2))])
+def test_bar_of_long_terms_matches_the_pair_oracle(name, lam, long):
+    datum = datum_preset(name)
+    rng = random.Random(f"bar {name}")
+    theta = [(x, c) for x, c in hecke_theta(datum, lam).items()]
+    terms = dict(rng.sample(theta, min(len(theta), 24)))
+    terms[min_rep(datum, long)] = LaurentPoly({3: 2, -1: -1})
+    for _ in range(3):
+        terms[rand_elt(datum, rng, 6)] = rand_poly(rng, 3, 3, 4) or V
+    assert max(x.length for x in terms) > 38
+    assert hecke_bar(HeckeElt(datum, terms))._m == bar_oracle(terms)
+
+
+@pytest.mark.parametrize("name,lam", [("A1", (-40,)), ("G2", (-1, -2))])
+def test_bar_of_antidominant_theta_is_a_translation(name, lam):
+    # theta_lam = (T_{t_-lam})^-1 for antidominant lam, so its bar is T_{t_lam}
+    datum = datum_preset(name)
+    assert hecke_bar(hecke_theta(datum, lam)) == hecke_T(translation(datum, lam))
+
+
+@pytest.mark.parametrize("name,long", [("A1", (41,)), ("B2", (7, 4)), ("G2", (3, 2))])
+def test_mul_by_long_terms_matches_the_pair_oracle(name, long):
+    datum = datum_preset(name)
+    rng = random.Random(f"long {name}")
+    x = min_rep(datum, long)
+    assert x.length > 38
+    for _ in range(4):
+        a = {rand_elt(datum, rng, 3): rand_poly(rng, 3, 3, 4) or ONE
+             for _ in range(rng.randrange(1, 4))}
+        b = {x: rng.choice((ONE, LaurentPoly({2: 1, -1: -3}))), rand_elt(datum, rng): -V}
+        assert hecke_mul(HeckeElt(datum, a), HeckeElt(datum, b))._m == mul_oracle(a, b)
 
 
 def test_bar_golden(a1):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hsw import linalg
+from hsw.rootdata import datum_preset
 
 
 # -- a plain Fraction reference ---------------------------------------------------------
@@ -234,3 +235,19 @@ def test_sparse_rank_needs_the_cofactor_of_the_reduced_row():
     rows = [{0: 1, 1: 1}, {1: 2}]
     linalg.sparse_rank(rows)
     assert rows == [{0: 1, 1: 1}, {1: 2}]
+
+
+def test_bezout():
+    b2 = datum_preset("B2")
+    cases = [[], [0, 0], [-4], [0, -6, 4], [6, 10, 15], [-3, 0, 9], [12, -18, 0, 30],
+             [(1 << 80) * 3, -(1 << 80) * 5], list(b2.simple_roots[0])]
+    rng = random.Random(31)
+    cases += [[rng.randint(-50, 50) for _ in range(rng.randint(1, 5))] for _ in range(200)]
+    for values in cases:
+        g, coeffs = linalg.bezout(values)
+        assert g == math.gcd(*values) and len(coeffs) == len(values)
+        assert sum(c * a for c, a in zip(coeffs, values)) == g
+    # B2's first simple root, whose gcd is not 1, and its wall-atom covector
+    assert b2.simple_roots[0] == (2, -2)
+    assert linalg.bezout([2, -2]) == (2, [0, -1])
+    assert linalg.bezout([0, 0]) == (0, [0, 0]) and linalg.bezout([-4]) == (4, [-1])
