@@ -171,27 +171,33 @@ def mul_simple(x: AffineElt, s: SimpleReflection) -> AffineElt:
     return out
 
 
+def first_descent(x: AffineElt) -> tuple[SimpleReflection, AffineElt]:
+    """The first generator s in label order with l(x s) < l(x), and x s.
+
+    Raises RuntimeError when no generator shortens x, as at l(x) = 0.
+    """
+    for s in simple_reflections(x.datum):
+        p = mul_simple(x, s)
+        if p.length < x.length:
+            return s, p
+    raise RuntimeError(f"no descent found at positive length for {x!r}")
+
+
 def reduced_word(x: AffineElt) -> tuple[AffineElt, tuple[SimpleReflection, ...]]:
     """Factor x = omega * s_1 ... s_r with omega of length zero, r = l(x).
 
-    The word is chosen deterministically by scanning generators in label
-    order for a descent at every step.
+    The word is chosen deterministically: its last letter is the
+    ``first_descent`` of x, and the rest is found the same way from x s_r.
     """
     table = x.datum._affine_state.reduced
     cached = table.get(x)
     if cached is not None:
         return cached
-    simples = simple_reflections(x.datum)
     letters: list[SimpleReflection] = []
     cur = x
     while cur.length > 0:
-        for s in simples:
-            if mul_simple(cur, s).length < cur.length:
-                letters.append(s)
-                cur = mul_simple(cur, s)
-                break
-        else:
-            raise RuntimeError(f"no descent found at positive length for {cur!r}")
+        s, cur = first_descent(cur)
+        letters.append(s)
     letters.reverse()
     result = (cur, tuple(letters))
     table[x] = result

@@ -240,15 +240,12 @@ def _cmd_oracle_check(ns, datum: RootDatum) -> int:
 
 
 def _cmd_verify(ns, datum: RootDatum) -> int:
+    names = None
     if ns.checks is not None:
         names = [c.strip() for c in ns.checks.split(",") if c.strip()]
         if not names:
             raise ValueError(f"--checks {ns.checks!r} names no check; "
                              f"known: {', '.join(CHECKS)}")
-    else:
-        names = list(CHECKS)
-        if datum.fundamental_group_order() is None:
-            names = [n for n in names if n not in ("canonical", "kato")]
     knobs = {
         "bernstein": {"box": ns.box},
         "length": {"max_len": ns.max_length},
@@ -260,7 +257,7 @@ def _cmd_verify(ns, datum: RootDatum) -> int:
         "oracle": {"max_word": ns.max_word, "cutoff": ns.cutoff},
         "modules": {"seed": ns.seed},
     }
-    reports = run_suite(datum, names, **{k: v for k, v in knobs.items() if k in names})
+    reports = run_suite(datum, names, **knobs)
     lines = []
     for r in reports:
         lines.append(f"{'PASS' if r['pass'] else 'FAIL'} {r['name']:<13} "

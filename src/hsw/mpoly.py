@@ -137,21 +137,11 @@ class MPoly:
         """Replace variable i by the linear form sum_j mat[i][j] u_j."""
         forms = [MPoly.linear([int(x) for x in row]) for row in mat]
         out = MPoly.zero(self.nvars)
-        powers: dict[tuple[int, int], MPoly] = {}
-
-        def form_pow(i: int, k: int) -> MPoly:
-            key = (i, k)
-            got = powers.get(key)
-            if got is None:
-                got = forms[i] ** k
-                powers[key] = got
-            return got
-
         for e, a in self._c.items():
             term = MPoly.const(self.nvars, a)
-            for i, k in enumerate(e):
+            for form, k in zip(forms, e):
                 if k:
-                    term = term * form_pow(i, k)
+                    term = term * form ** k
             out = out + term
         return out
 

@@ -22,6 +22,9 @@ invariants are held in ``datum._once``): a chain is the tensor of the longest
 prefix chain already held with one atom per remaining letter.  Each distinct
 module is validated once per datum: the table ``validated`` holds the
 contents (generator degrees, wall operators, left tables) that passed.
+A module holds no derived data: the matrices of monomials in its left
+tables are built in a power table local to the operation that needs them
+(``_validate`` and ``tensor``), filled through ``hsw.worklist.fill``.
 Graded Hom spaces between chains are computed degree by degree by sparse
 integer elimination (``linalg.sparse_rank``), and converted to a rank
 polynomial over the coordinate ring; coefficients beyond the reliable window
@@ -30,6 +33,8 @@ raise instead of truncating silently.
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 
 from . import linalg
@@ -37,6 +42,7 @@ from .affine import AffineElt, SimpleReflection
 from .laurent import ONE, ZERO, LaurentPoly, v_power
 from .mpoly import MPoly, monomials_of_degree
 from .rootdata import RootDatum
+from .worklist import fill
 
 
 class CutoffError(ValueError):
@@ -44,16 +50,6 @@ class CutoffError(ValueError):
 
 
 # -- fundamental invariants ------------------------------------------------------------
-
-
-def _dual_substitutions(datum: RootDatum) -> list:
-    """Variable substitution matrices of the simple reflections.
-
-    The coordinate function u_c returns the c-th coordinate of a point, so
-    precomposing with a reflection replaces u_c by the linear form built
-    from row c of the reflection matrix.
-    """
-    return [datum.simple_reflection(i).matrix for i in range(datum.nsimples)]
 
 
 def fundamental_invariants(datum: RootDatum) -> tuple[MPoly, ...]:
@@ -68,7 +64,9 @@ def fundamental_invariants(datum: RootDatum) -> tuple[MPoly, ...]:
     if "invariants" in once:
         return once["invariants"]
     n = datum.rank
-    subs = _dual_substitutions(datum)
+    # u_c returns the c-th coordinate of a point, so precomposing with a
+    # reflection replaces u_c by the linear form of row c of its matrix
+    subs = [datum.simple_reflection(i).matrix for i in range(datum.nsimples)]
     found: list[MPoly] = []
     degree_cap = 2 * len(datum.positive_roots()) + 2
     for degree in range(1, degree_cap + 1):
@@ -95,7 +93,7 @@ def fundamental_invariants(datum: RootDatum) -> tuple[MPoly, ...]:
         # span of products of already-found invariants in this degree; each
         # kernel vector is reduced to its remainder modulo that span
         span: list[list[int]] = []
-        for prod in _products_of_degree(found, degree, n):
+        for prod in _products_of_degree(found, degree):
             vec = [0] * len(monos)
             for e, a in prod._c.items():
                 vec[mono_index[e]] += a
@@ -126,26 +124,12 @@ def fundamental_invariants(datum: RootDatum) -> tuple[MPoly, ...]:
     return out
 
 
-def _products_of_degree(gens: list[MPoly], degree: int, nvars: int):
-    """All monomials in the given generators with the given total degree."""
-    out: list[MPoly] = []
-
-    def rec(i: int, remaining: int, acc: MPoly):
-        if remaining == 0:
-            out.append(acc)
-            return
-        if i == len(gens):
-            return
-        d = gens[i].total_degree()
-        k = 0
-        cur = acc
-        while k * d <= remaining:
-            rec(i + 1, remaining - k * d, cur)
-            k += 1
-            cur = cur * gens[i]
-
-    rec(0, degree, MPoly.const(nvars, 1))
-    return [p for p in out if not p.is_zero() and p.total_degree() == degree]
+def _products_of_degree(gens: list[MPoly], degree: int) -> list[MPoly]:
+    """All products of the given generators, repeats allowed, of the given
+    total degree."""
+    return [math.prod(combo) for k in range(1, degree + 1)
+            for combo in itertools.combinations_with_replacement(gens, k)
+            if sum(p.total_degree() for p in combo) == degree]
 
 
 # -- operator maps ---------------------------------------------------------------------------
@@ -187,19 +171,18 @@ class GradedCModule:
     c-th linear coordinate multiplying from the left.  A map stores no zero
     coefficient, so equal operators are equal dicts; the constructor copies
     the maps, and validation rejects a zero or an entry outside the
-    generators or the variables.
+    generators or the variables.  Powers of the left tables are not kept:
+    ``_validate`` and ``tensor`` each fill a local power table through
+    ``worklist.fill`` with ``_power_steps`` and drop it on return.
     """
 
-    __slots__ = ("datum", "gens", "theta", "left", "_mono_cache")
+    __slots__ = ("datum", "gens", "theta", "left")
 
     def __init__(self, datum: RootDatum, gens, theta, left):
         self.datum = datum
         self.gens = tuple(int(g) for g in gens)
         self.theta = tuple(dict(m) for m in theta)
         self.left = tuple(dict(m) for m in left)
-        # monomial matrices asked for by tensor (with the lower powers they
-        # were built from); _validate keeps its own table
-        self._mono_cache: dict[tuple, OpMap] = {}
         # the verdict depends only on these tables and the datum, so content
         # equal to a module already validated on this datum is not checked again
         validated = datum._mod_state.validated
@@ -271,37 +254,25 @@ class GradedCModule:
 
     # -- scalar pushing -----------------------------------------------------------
 
-    def _monomial_matrix(self, exps: tuple, powers: dict) -> OpMap:
-        """Matrix of left multiplication by the monomial with exponents exps.
-
-        Taken from powers if held there; otherwise built with one product
-        from the monomial one degree lower (one fewer factor of its first
-        variable), which is found or built the same way.  Every matrix built
-        is added to powers.
-        """
-        got = powers.get(exps)
-        path = []
-        cur = exps
-        while got is None:
-            if not any(cur):
-                got = {(i, i, cur): 1 for i in range(self.size())}
-                break
-            c = next(i for i, k in enumerate(cur) if k)
-            path.append((cur, c))
-            cur = cur[:c] + (cur[c] - 1,) + cur[c + 1:]
-            got = powers.get(cur)
-        for key, c in reversed(path):
-            got = _pm_mul(got, self.left[c])
-            powers[key] = got
-        return got
+    def _power_steps(self, exps: tuple):
+        """Frame of a power table (see hsw.worklist): the matrix of left
+        multiplication by the monomial with exponents exps is the identity
+        for the constant monomial, and otherwise the matrix of the monomial
+        with one fewer factor of its first variable times that variable's
+        left table."""
+        if not any(exps):
+            return {(i, i, exps): 1 for i in range(self.size())}
+        c = next(i for i, k in enumerate(exps) if k)
+        lower = yield exps[:c] + (exps[c] - 1,) + exps[c + 1:]
+        return _pm_mul(lower, self.left[c])
 
     def _eval_poly(self, p: MPoly, powers: dict) -> OpMap:
         """Matrix of left multiplication by an arbitrary polynomial: the sum
-        of the monomial matrices from _monomial_matrix, with the given power
-        table, times their coefficients."""
+        of its monomial matrices, filled into the given power table, times
+        their coefficients."""
         acc: dict[tuple, int] = {}
         for exps, a in p._c.items():
-            for key, b in self._monomial_matrix(exps, powers).items():
+            for key, b in fill(powers, exps, self._power_steps).items():
                 acc[key] = acc.get(key, 0) + a * b
         return {key: c for key, c in acc.items() if c}
 
@@ -418,12 +389,14 @@ def tensor(m: GradedCModule, n: GradedCModule) -> GradedCModule:
     datum = m.datum
     sn = n.size()
     gens = tuple(g + h for g in m.gens for h in n.gens)
+    powers: dict[tuple, OpMap] = {}  # of the second factor, dropped on return
+    steps = n._power_steps
 
     def carried(table: OpMap, acc: dict) -> OpMap:
         """acc plus the first factor's table, each term carried across the
         second factor by the left table of its monomial."""
         for (a, i, e), c in table.items():
-            for (bq, k, e2), c2 in n._monomial_matrix(e, n._mono_cache).items():
+            for (bq, k, e2), c2 in fill(powers, e, steps).items():
                 key = (a * sn + bq, i * sn + k, e2)
                 acc[key] = acc.get(key, 0) + c * c2
         return {key: c for key, c in acc.items() if c}

@@ -13,10 +13,10 @@ The canonical basis is computed by Soergel's recursion (Represent. Theory 1
 its prefix w_lam s_k is the representative of a weight lam' of length
 k - 1, and the element at lam' times C_{s_k} is bar-invariant with top term
 m_lam; symmetrized coefficients at lower terms are then stripped until every
-off-top coefficient lies in v^-1 Z[v^-1].  The letter s_k is the first
-generator, in label order, that is a right descent of w_lam, so no reduced
-word is built.  Shorter elements come from an explicit stack
-(``hsw.worklist``), not from Python recursion.
+off-top coefficient lies in v^-1 Z[v^-1].  The letter s_k is
+``affine.first_descent(w_lam)``, the first generator in label order that
+shortens w_lam, so no reduced word is built.  Shorter elements come from an
+explicit stack (``hsw.worklist``), not from Python recursion.
 
 The inner loop works on one map weight -> {exponent: coefficient}: C_s acts
 on a basis symbol by two exponent shifts, the strip subtracts from that one
@@ -42,7 +42,7 @@ import heapq
 from functools import partial
 from operator import neg
 
-from .affine import AffineElt, SimpleReflection, min_rep, mul_simple, simple_reflections
+from .affine import AffineElt, SimpleReflection, first_descent, min_rep, mul_simple
 from .hecke import HeckeElt, hecke_T, hecke_bar_T, hecke_mul
 from .laurent import (ONE, V_INV, ZERO, Combination, LaurentPoly, _wrap, add_into,
                       v_power)
@@ -240,19 +240,14 @@ def canonical_basis(datum: RootDatum, lam) -> SphElt:
 def _prefix_steps(datum: RootDatum, lam: Vec):
     """Frame of canonical_basis at lam (see hsw.worklist).
 
-    The last letter of ``reduced_word(w_lam)`` is the first generator, in
-    label order, that is a right descent of w_lam; it is read off directly.
+    The last letter of ``reduced_word(w_lam)`` is ``first_descent(w_lam)``,
+    read off directly.
     """
     w = min_rep(datum, lam)
     if not w.length:
         cur = {lam: {0: 1}}
     else:
-        for s in simple_reflections(datum):
-            p = mul_simple(w, s)
-            if p.length < w.length:
-                break
-        else:
-            raise RuntimeError(f"no descent found at positive length for {w!r}")
+        s, p = first_descent(w)
         if p.length != w.length - 1 or min_rep(datum, p.lam) != p:
             raise RuntimeError(f"the prefix {p!r} of the reduced word at {lam} "
                                f"is not the representative of {p.lam}")

@@ -380,16 +380,21 @@ def _run_forked(datum: RootDatum, here, there, knobs) -> dict:
 
 
 def run_suite(datum: RootDatum, names=None, **knobs) -> list[dict]:
-    """Run the named checks (all by default) with per-check keyword knobs.
+    """Run the named checks with per-check keyword knobs.
 
-    knobs maps a check name to a dict of keyword arguments for it, for
-    example run_suite(d, bernstein={"box": 2}).  With two CPUs and
-    ``os.fork``, one forked worker runs the ``MODULE_CHECKS`` while this
-    process runs the rest; reports keep the requested order either way.
-    The first check in that order that raised raises here.
+    With no names, every check that applies to the datum runs: all of them,
+    except ``canonical`` and ``kato`` when the datum has central directions,
+    since their grid of weights is then infinite.  knobs maps a check name
+    to a dict of keyword arguments for it, for example
+    run_suite(d, bernstein={"box": 2}); knobs of checks not run are unused.
+    With two CPUs and ``os.fork``, one forked worker runs the
+    ``MODULE_CHECKS`` while this process runs the rest; reports keep the
+    requested order either way.  The first check in that order that raised
+    raises here.
     """
     if names is None:
-        names = list(CHECKS)
+        names = [n for n in CHECKS if n not in ("canonical", "kato")
+                 or datum.fundamental_group_order() is not None]
     for name in names:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")

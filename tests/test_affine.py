@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from hsw.affine import (affine_elt, affine_identity, coset_decompose, min_rep,
-                        omega_elements, parse_weight, parse_word, reduced_word,
-                        simple_reflections, translation, word_elt)
+from hsw.affine import (affine_elt, affine_identity, coset_decompose, first_descent,
+                        min_rep, mul_simple, omega_elements, parse_weight, parse_word,
+                        reduced_word, simple_reflections, translation, word_elt)
 from hsw.cli import main
 from hsw.hecke import verify_bernstein
 from hsw.rootdata import RootDatum, datum_preset
@@ -81,6 +81,31 @@ def test_multi_component_affine_labels():
     d = datum_preset("A1xA1")
     labels = [s.label for s in simple_reflections(d)]
     assert labels == ["s1", "s2", "s0:1", "s0:2"]
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_first_descent_is_the_last_letter_of_the_reduced_word(name):
+    """On the ball of length <= 4 (times each length-zero element where they
+    are finitely many): the letter is the last of reduced_word(x), no
+    generator before it in label order shortens x, and x s is one shorter."""
+    datum = datum_preset(name)
+    simples = simple_reflections(datum)
+    ball = frontier = {affine_identity(datum)}
+    for _ in range(4):
+        frontier = {mul_simple(x, s) for x in frontier for s in simples} - ball
+        ball = ball | frontier
+    if datum.fundamental_group_order() is not None:
+        ball = {omega * x for omega in omega_elements(datum) for x in ball}
+    for x in ball:
+        if not x.length:
+            with pytest.raises(RuntimeError, match="no descent found"):
+                first_descent(x)
+            continue
+        s, p = first_descent(x)
+        assert s == reduced_word(x)[1][-1], (name, x)
+        assert p is mul_simple(x, s) and p.length == x.length - 1, (name, x)
+        for t in simples[:simples.index(s)]:
+            assert mul_simple(x, t).length > x.length, (name, x, t.label)
 
 
 def test_reduced_word_reassembles(a2):

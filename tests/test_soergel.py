@@ -6,12 +6,24 @@ import hsw.soergel as soergel
 from hsw.affine import affine_identity, simple_reflections, word_elt
 from hsw.laurent import LaurentPoly
 from hsw.mpoly import MPoly
-from hsw.rootdata import datum_preset
+from hsw.rootdata import _simply_connected, datum_preset
 from hsw.soergel import (CutoffError, GradedCModule, _flat, _pm_mul,
                          atom_D_finite, atom_E, atom_for, bs_module,
                          fundamental_invariants, hom_graded_rank,
                          modules_equal, oracle_vs_hecke, tensor)
 from hsw.spherical import hom_rank
+from hsw.worklist import fill
+
+
+# simply connected rank-three data, with the Cartan convention of the presets
+_RANK_THREE = {"B3": ((2, -1, 0), (-1, 2, -1), (0, -2, 2)),
+               "C3": ((2, -1, 0), (-1, 2, -2), (0, -1, 2))}
+
+
+def _datum(name):
+    if name in _RANK_THREE:
+        return _simply_connected(_RANK_THREE[name], name)
+    return datum_preset(name)
 
 
 def test_invariant_degrees():
@@ -35,9 +47,27 @@ def test_invariant_polynomials_golden():
         "GL2": ["u2 + u1", "u1*u2"],
         "GL3": ["u3 + u2 + u1", "u2*u3 + u1*u3 + u1*u2", "u1*u2*u3"],
         "A1xA1": ["u1^2", "u2^2"],
+        "GL4": ["u4 + u3 + u2 + u1",
+                "u3*u4 + u2*u4 + u2*u3 + u1*u4 + u1*u3 + u1*u2",
+                "u2*u3*u4 + u1*u3*u4 + u1*u2*u4 + u1*u2*u3",
+                "u1*u2*u3*u4"],
+        "B3": ["3*u3^2 + 8*u2*u3 + 8*u2^2 + 4*u1*u3 + 8*u1*u2 + 4*u1^2",
+               "3*u3^4 + 16*u2*u3^3 + 32*u2^2*u3^2 + 32*u2^3*u3 + 16*u2^4"
+               " + 8*u1*u3^3 + 32*u1*u2*u3^2 + 48*u1*u2^2*u3 + 32*u1*u2^3"
+               " + 8*u1^2*u3^2 + 16*u1^2*u2*u3 + 16*u1^2*u2^2",
+               "u3^6 + 8*u2*u3^5 + 24*u2^2*u3^4 + 32*u2^3*u3^3 + 16*u2^4*u3^2"
+               " + 4*u1*u3^5 + 24*u1*u2*u3^4 + 48*u1*u2^2*u3^3 + 32*u1*u2^3*u3^2"
+               " + 4*u1^2*u3^4 + 16*u1^2*u2*u3^3 + 16*u1^2*u2^2*u3^2"],
+        "C3": ["3*u3^2 + 4*u2*u3 + 2*u2^2 + 2*u1*u3 + 2*u1*u2 + u1^2",
+               "3*u3^4 + 8*u2*u3^3 + 8*u2^2*u3^2 + 4*u2^3*u3 + u2^4"
+               " + 4*u1*u3^3 + 8*u1*u2*u3^2 + 6*u1*u2^2*u3 + 2*u1*u2^3"
+               " + 2*u1^2*u3^2 + 2*u1^2*u2*u3 + u1^2*u2^2",
+               "u3^6 + 4*u2*u3^5 + 6*u2^2*u3^4 + 4*u2^3*u3^3 + u2^4*u3^2"
+               " + 2*u1*u3^5 + 6*u1*u2*u3^4 + 6*u1*u2^2*u3^3 + 2*u1*u2^3*u3^2"
+               " + u1^2*u3^4 + 2*u1^2*u2*u3^3 + u1^2*u2^2*u3^2"],
     }
     for name, polys in want.items():
-        assert [str(y) for y in fundamental_invariants(datum_preset(name))] == polys
+        assert [str(y) for y in fundamental_invariants(_datum(name))] == polys
 
 
 def test_invariants_are_invariant(a2, b2):
@@ -230,30 +260,33 @@ def test_pm_mul_matches_naive_product(a2, g2):
 
 
 def test_monomial_matrix_matches_product_from_identity(g2):
-    e = affine_identity(g2)
-    s1, s2 = simple_reflections(g2)[:2]
-    m = bs_module(g2, e, (s1, s2))
-    one, zero = MPoly.const(2, 1), MPoly.zero(2)
-    size = m.size()
-    identity = [[one if i == j else zero for j in range(size)] for i in range(size)]
-    left = _tables(m.left, size, 2)
-    powers = {}   # shared over every monomial, so lower powers are reused
-    monos = [exps for y in fundamental_invariants(g2) for exps in y._c]
-    assert max(sum(exps) for exps in monos) == 6
-    for exps in monos:
-        want = identity
-        for c, k in enumerate(exps):
-            for _ in range(k):
-                want = _naive_mul(want, left[c])
-        assert _dense(m._monomial_matrix(exps, powers), size, size, 2) == want
-        assert _dense(m._monomial_matrix(exps, {}), size, size, 2) == want
-    # every power built on the way is a correct power too
-    for exps, mat in powers.items():
-        want = identity
-        for c, k in enumerate(exps):
-            for _ in range(k):
-                want = _naive_mul(want, left[c])
-        assert _dense(mat, size, size, 2) == want
+    b3 = _datum("B3")
+    # the G2 chain (s1, s2) and the B3 chain (s2, s3), across the double bond
+    for datum, word in ((g2, simple_reflections(g2)[:2]), (b3, simple_reflections(b3)[1:3])):
+        nv = datum.rank
+        m = bs_module(datum, affine_identity(datum), word)
+        one, zero = MPoly.const(nv, 1), MPoly.zero(nv)
+        size = m.size()
+        identity = [[one if i == j else zero for j in range(size)] for i in range(size)]
+        left = _tables(m.left, size, nv)
+        powers = {}   # shared over every monomial, so lower powers are reused
+        monos = [exps for y in fundamental_invariants(datum) for exps in y._c]
+        assert max(sum(exps) for exps in monos) == 6
+        assert any(all(exps) for exps in monos)
+        for exps in monos:
+            want = identity
+            for c, k in enumerate(exps):
+                for _ in range(k):
+                    want = _naive_mul(want, left[c])
+            assert _dense(fill(powers, exps, m._power_steps), size, size, nv) == want
+            assert _dense(fill({}, exps, m._power_steps), size, size, nv) == want
+        # every power built on the way is a correct power too
+        for exps, mat in powers.items():
+            want = identity
+            for c, k in enumerate(exps):
+                for _ in range(k):
+                    want = _naive_mul(want, left[c])
+            assert _dense(mat, size, size, nv) == want
 
 
 # -- each atom and chain is built once per datum -------------------------------------------

@@ -188,17 +188,25 @@ def test_act_cs_matches_the_algebra_action(name):
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A1xA1", "GL3"])
 def test_prefix_letter_is_the_last_letter_of_the_reduced_word(name):
     """The frame at lam first asks for the weight of w_lam s, where s is the
-    last letter of reduced_word(w_lam)."""
+    last letter of reduced_word(w_lam): the weight of the reduced word
+    without its last letter."""
     datum = datum_preset(name)
-    for lam in _box_weights(datum):
+    weights = set(_box_weights(datum))
+    if datum.fundamental_group_order() is not None:
+        weights.update(weights_by_length(datum, 4))
+    for lam in sorted(weights):
         w = min_rep(datum, lam)
-        _, word = reduced_word(w)
+        omega, word = reduced_word(w)
         frame = _prefix_steps(datum, lam)
         if not word:
             with pytest.raises(StopIteration):
                 next(frame)
             continue
-        assert next(frame) == mul_simple(w, word[-1]).lam, (name, lam)
+        prefix = omega
+        for s in word[:-1]:
+            prefix = mul_simple(prefix, s)
+        assert prefix == mul_simple(w, word[-1]), (name, lam)
+        assert next(frame) == prefix.lam, (name, lam)
 
 
 def _drive(datum, frame):

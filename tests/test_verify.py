@@ -97,6 +97,16 @@ def test_knobs_reach_checks(a1):
     assert reports[0]["pass"] is True
 
 
+def test_default_checks_are_those_that_apply():
+    """With no names, a datum with central directions runs every check but
+    the two whose grid of weights is then infinite."""
+    reports = run_suite(datum_preset("GL3"))
+    assert [r["name"] for r in reports] == ["quadratic", "bernstein", "length",
+                                            "multiplicity", "projection",
+                                            "pushforward", "oracle", "modules"]
+    assert all(r["pass"] for r in reports)
+
+
 def _suite(monkeypatch, spec, cpus, names=None):
     """run_suite on a fresh datum with the CPU query patched, and how often
     it forked; the reports lose their timings."""
@@ -109,11 +119,7 @@ def _suite(monkeypatch, spec, cpus, names=None):
 
     monkeypatch.setattr(hsw.verify, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(os, "fork", counted)
-    datum = load_datum(spec)
-    if names is None:
-        names = [n for n in CHECKS if datum.fundamental_group_order() is not None
-                 or n not in ("canonical", "kato")]
-    reports = run_suite(datum, names)
+    reports = run_suite(load_datum(spec), names)
     for r in reports:
         del r["seconds"]
     return reports, len(forks)
