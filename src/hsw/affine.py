@@ -115,7 +115,7 @@ class SimpleReflection:
 
 
 def affine_elt(datum: RootDatum, w: WeylElt, lam) -> AffineElt:
-    lam = tuple(int(x) for x in lam)
+    lam = datum.weight(lam)
     state = datum._affine_state
     key = (w, lam)
     el = state.elts.get(key)
@@ -215,15 +215,13 @@ def min_rep(datum: RootDatum, lam) -> AffineElt:
     The result is checked to have no finite left descent (l(s_i m) > l(m) for
     every finite s_i), which holds for the shortest element of W m and for no
     other.  A plain tuple is looked up as it is; anything else, and a tuple
-    not yet in the table, is normalised with int() first.
+    not yet in the table, is read by ``RootDatum.weight`` first.
     """
     table = datum._affine_state.min_reps
-    if type(lam) is tuple:
+    cached = table.get(lam) if type(lam) is tuple else None
+    if cached is None:
+        lam = datum.weight(lam)
         cached = table.get(lam)
-        if cached is not None:
-            return cached
-    lam = tuple(int(x) for x in lam)
-    cached = table.get(lam)
     if cached is not None:
         return cached
     _, word = datum.chamber_walk(lam)

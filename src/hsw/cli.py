@@ -30,9 +30,10 @@ from .hecke import HeckeElt, hecke_mul, hecke_T, hecke_theta
 from .laurent import LaurentPoly
 from .qanalogue import kato_check, kato_grid, lusztig_q
 from .rootdata import RootDatum, load_datum
+from .soergel import oracle_vs_hecke
 from .spherical import (basis_order, bs_char, canonical_basis, decompose_bs, hom_rank,
                         sph_pairing)
-from .verify import CHECKS, run_suite
+from .verify import CHECKS, check_oracle, run_suite
 
 
 # -- parsing helpers -------------------------------------------------------------------
@@ -217,8 +218,6 @@ def _cmd_kato_check(ns, datum: RootDatum) -> int:
 
 
 def _cmd_oracle_check(ns, datum: RootDatum) -> int:
-    from .soergel import oracle_vs_hecke
-    from .verify import check_oracle
     single = any(getattr(ns, k) is not None
                  for k in ("left_omega", "left_word", "right_omega", "right_word"))
     if single:
@@ -246,17 +245,17 @@ def _cmd_verify(ns, datum: RootDatum) -> int:
         if not names:
             raise ValueError(f"--checks {ns.checks!r} names no check; "
                              f"known: {', '.join(CHECKS)}")
-    knobs = {
+    knobs = {name: {k: v for k, v in kw.items() if v is not None} for name, kw in {
         "bernstein": {"box": ns.box},
         "length": {"max_len": ns.max_length},
         "canonical": {"max_len": ns.max_length},
         "kato": {"max_len": ns.max_length},
         "multiplicity": {"box": ns.box},
         "projection": {"n_random": ns.trials, "seed": ns.seed},
-        "pushforward": {"max_word": ns.max_word if ns.max_word is not None else 3},
+        "pushforward": {"max_word": ns.max_word},
         "oracle": {"max_word": ns.max_word, "cutoff": ns.cutoff},
         "modules": {"seed": ns.seed},
-    }
+    }.items()}
     reports = run_suite(datum, names, **knobs)
     lines = []
     for r in reports:
@@ -364,12 +363,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run the cross-check property suite")
     p.add_argument("--checks", default=None,
                    help=f"comma list from: {', '.join(CHECKS)}")
-    p.add_argument("--box", type=_count, default=1)
-    p.add_argument("--max-length", type=_count, default=3)
-    p.add_argument("--max-word", type=_count, default=None)
-    p.add_argument("--trials", type=_count, default=50)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--cutoff", type=int, default=16)
+    p.add_argument("--box", type=_count)
+    p.add_argument("--max-length", type=_count)
+    p.add_argument("--max-word", type=_count)
+    p.add_argument("--trials", type=_count)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--cutoff", type=int)
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -294,7 +294,7 @@ def _dominant_split(datum: RootDatum, lam: tuple) -> tuple[tuple, tuple]:
 def theta_factors(datum: RootDatum, lam) -> list[tuple[AffineElt, int]]:
     """theta_lam as factors for ``hecke_mul_factors``: T_{t_mu}, then
     T_{t_nu}^{-1} when nu is nonzero, for the dominant splitting lam = mu - nu."""
-    mu, nu = _dominant_split(datum, lam)
+    mu, nu = _dominant_split(datum, datum.weight(lam))
     if not datum.is_dominant(mu) or not datum.is_dominant(nu):
         raise RuntimeError(f"dominant splitting failed for {lam}")
     factors = [(translation(datum, mu), 1)]
@@ -309,7 +309,7 @@ def hecke_theta(datum: RootDatum, lam) -> HeckeElt:
     For dominant lam this is v^0 T_{t_lam}; in general it is the ratio
     T_{t_mu} T_{t_nu}^{-1} for a dominant splitting, independent of choice.
     """
-    lam = tuple(int(x) for x in lam)
+    lam = datum.weight(lam)
     table = datum._hecke_state.theta
     cached = table.get(lam)
     if cached is None:

@@ -148,16 +148,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for LaurentPoly values")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, ONE)
 
     # -- involutions and substitutions ------------------------------------------
 
@@ -233,6 +224,21 @@ class LaurentPoly:
     def to_json(self) -> dict[str, int]:
         """Exponent -> coefficient map with keys ordered lowest exponent first."""
         return {str(e): a for e, a in self.items()}
+
+
+def power(x, n: int, one):
+    """x ** n by binary powering, with no product by ``one`` and no square
+    after the last bit: n = 2 makes one product.  A negative n is a ValueError."""
+    if n < 0:
+        raise ValueError(f"negative power {n} of a {type(x).__name__} value")
+    out = None
+    while n:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return one if out is None else out
 
 
 def _wrap(c: dict[int, int]) -> LaurentPoly:

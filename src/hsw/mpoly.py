@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from .laurent import power
+
 
 class MPoly:
     """A sparse integer polynomial in a fixed number of variables."""
@@ -120,16 +122,7 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = MPoly.const(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, MPoly.const(self.nvars, 1))
 
     # -- substitution and calculus ----------------------------------------------------
 

@@ -55,6 +55,7 @@ from .affine import length_box, min_rep
 from .laurent import ONE, ZERO, LaurentPoly, _wrap
 from .rootdata import (RootDatum, Vec, mat_vec, pair, vec_add, vec_neg,
                        vec_scale, vec_sub)
+from .spherical import canonical_basis
 from .worklist import fill
 
 
@@ -71,7 +72,7 @@ def root_coords_int(datum: RootDatum, vec) -> Vec | None:
     nsimples equals the rank the coroots see every direction, so integral
     coordinates always recombine to vec; otherwise the combination is checked.
     """
-    vec = tuple(int(x) for x in vec)
+    vec = datum.weight(vec)
     held = datum._once.get("root_solve")
     if held is None:
         det, adj = linalg.inverse(datum.cartan_matrix())
@@ -106,7 +107,7 @@ def kostant_q(datum: RootDatum, beta) -> LaurentPoly:
     the positive roots in root coordinates, highest first.
     """
     st = datum._q_state
-    beta = tuple(map(int, beta))
+    beta = datum.weight(beta)
     cached = st.kostant.get(beta)
     if cached is not None:
         return cached
@@ -177,8 +178,7 @@ def _orbit(datum: RootDatum, eta: Vec) -> tuple[tuple[int, Vec, Vec], ...]:
     orbits = datum._q_state.orbits
     orbit = orbits.get(eta)
     if orbit is None:
-        if not datum.is_dominant(eta):
-            raise ValueError(f"highest weight {eta} must be dominant")
+        datum.highest_weight(eta)
         top = vec_add(vec_scale(2, eta), datum.two_rho())
         rows = []
         for w in datum.weyl_elements():
@@ -196,7 +196,7 @@ def _orbit(datum: RootDatum, eta: Vec) -> tuple[tuple[int, Vec, Vec], ...]:
 
 def lusztig_q(datum: RootDatum, chi, eta) -> LaurentPoly:
     """The graded multiplicity polynomial of weight chi in the module of
-    highest weight eta (eta must be dominant), as an alternating Weyl sum of
+    dominant highest weight eta, as an alternating Weyl sum of
     q-Kostant values: the sum over w of (-1)^l(w) times the q-Kostant value
     at d_w + (eta - chi), with d_w = w(eta + rho) - (eta + rho) read off the
     orbit table of eta.
@@ -205,8 +205,7 @@ def lusztig_q(datum: RootDatum, chi, eta) -> LaurentPoly:
     zero); a term is looked up only when the coordinates of d_w plus g are
     all nonnegative, since the partition count vanishes off that cone.
     """
-    chi = tuple(int(x) for x in chi)
-    eta = tuple(int(x) for x in eta)
+    chi, eta = datum.weight(chi), datum.weight(eta)
     orbit = _orbit(datum, eta)
     gap = vec_sub(eta, chi)
     g = root_coords_int(datum, gap)
@@ -286,13 +285,11 @@ def freudenthal_mult(datum: RootDatum, eta, chi) -> int:
     Both are filled in integers from one explicit stack (``hsw.worklist``),
     not by Python recursion.
     """
-    eta = tuple(int(x) for x in eta)
-    chi = tuple(int(x) for x in chi)
+    eta, chi = datum.weight(eta), datum.weight(chi)
     st = datum._q_state
     memo = st.freud.get(eta)
     if memo is None:
-        if not datum.is_dominant(eta):
-            raise ValueError(f"highest weight {eta} must be dominant")
+        datum.highest_weight(eta)
         reps = _weight_table(datum, eta)[0]
         memo = st.freud[eta] = {eta: 1}
     else:
@@ -333,9 +330,7 @@ def freudenthal_mult(datum: RootDatum, eta, chi) -> int:
 
 def weyl_dim(datum: RootDatum, eta) -> int:
     """Dimension of the module of highest weight eta, by the product formula."""
-    eta = tuple(int(x) for x in eta)
-    if not datum.is_dominant(eta):
-        raise ValueError(f"highest weight {eta} must be dominant")
+    eta = datum.highest_weight(eta)
     two_rho = datum.two_rho()
     num, den = 1, 1
     top = vec_add(vec_scale(2, eta), two_rho)
@@ -353,10 +348,7 @@ def weights_of_irrep(datum: RootDatum, eta) -> tuple[Vec, ...]:
     ignored), in sorted order: the keys of its weight table, the Weyl orbits
     of the dominant weights below eta.
     """
-    eta = tuple(int(x) for x in eta)
-    if not datum.is_dominant(eta):
-        raise ValueError(f"highest weight {eta} must be dominant")
-    return _weight_table(datum, eta)[1]
+    return _weight_table(datum, datum.highest_weight(eta))[1]
 
 
 # -- the graded comparison across the two sides ----------------------------------------------
@@ -370,12 +362,7 @@ def kato_check(datum: RootDatum, lam, mu) -> dict:
     graded multiplicity polynomial of -w0(mu) in the module of highest
     weight -w0(lam) evaluated at q = v^-2.
     """
-    from .spherical import canonical_basis
-
-    lam = tuple(int(x) for x in lam)
-    mu = tuple(int(x) for x in mu)
-    if not datum.is_dominant(lam) or not datum.is_dominant(mu):
-        raise ValueError("both weights must be dominant")
+    lam, mu = datum.highest_weight(lam), datum.highest_weight(mu)
     w0 = datum.longest_element()
     lam_star = vec_neg(w0.act(lam))
     mu_star = vec_neg(w0.act(mu))

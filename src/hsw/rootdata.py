@@ -5,6 +5,8 @@ A root datum here is a weight lattice X = Z^rank together with simple roots
 int tuples in the X basis, coweights are int tuples in the dual basis, and
 the pairing is the dot product; X may be in any basis, since a weight with
 given simple-coroot pairings comes from ``RootDatum.weight_from_pairings``.
+Every weight argument is read by ``RootDatum.weight`` (``highest_weight`` also
+requires dominance): integral, one entry per coordinate of X, or a ValueError.
 Weyl elements act on X by integer matrices; they are interned per datum, and
 their products are memoised in the datum's ``_weyl_state`` tables.  Every
 value computed once per datum, by any layer, is held by name in
@@ -409,7 +411,26 @@ class RootDatum:
             raise RuntimeError("longest element is not unique; invalid datum")
         return best
 
-    # -- dominance ------------------------------------------------------------------
+    # -- weights ------------------------------------------------------------------
+
+    def weight(self, lam) -> Vec:
+        """lam as a tuple of ints, one per coordinate of X: [1, 3.0] reads as
+        (1, 3).  An entry that its int does not equal (2.9, "2"), a wrong
+        length or a non-sequence is a ValueError naming lam."""
+        try:
+            out = tuple(map(int, lam))
+        except (TypeError, ValueError, OverflowError):
+            out = ()   # every datum has rank at least one
+        if len(out) != self.rank or (out != lam and out != tuple(lam)):
+            raise ValueError(f"weight {lam!r} is not an integer weight of rank {self.rank}")
+        return out
+
+    def highest_weight(self, eta) -> Vec:
+        """``weight(eta)``, which must also be dominant (a ValueError otherwise)."""
+        out = self.weight(eta)
+        if not self.is_dominant(out):
+            raise ValueError(f"weight {out} must be dominant")
+        return out
 
     def is_dominant(self, lam: Sequence[int]) -> bool:
         return all(pair(lam, c) >= 0 for c in self.simple_coroots)
@@ -423,7 +444,7 @@ class RootDatum:
         u = s_i1 ... s_ik.  Each step lengthens u by one, so the word is
         reduced, and u is the shortest element with lam = u(lam_dom).
         """
-        lam = tuple(int(x) for x in lam)
+        lam = self.weight(lam)
         word = []
         while True:
             for i, cov in enumerate(self.simple_coroots):

@@ -38,10 +38,11 @@ import math
 import operator
 
 from . import linalg
-from .affine import AffineElt, SimpleReflection
+from .affine import AffineElt, SimpleReflection, simple_reflections
 from .laurent import ONE, ZERO, LaurentPoly, v_power
 from .mpoly import MPoly, monomials_of_degree
 from .rootdata import RootDatum
+from .spherical import hom_rank
 from .worklist import fill
 
 
@@ -349,7 +350,7 @@ def atom_D_affine(datum: RootDatum, s: SimpleReflection) -> GradedCModule:
     """
     if s.kind != "affine":
         raise ValueError("affine wall atom needs the affine generator")
-    if datum.rank != 1 or datum.nsimples != 1:
+    if s not in atom_alphabet(datum):
         raise ValueError("the affine wall atom is implemented for rank one only")
     n = 1
     b = s.root.vec[0]
@@ -362,6 +363,13 @@ def atom_D_affine(datum: RootDatum, s: SimpleReflection) -> GradedCModule:
     left = [_flat([[MPoly.zero(n), q_form],
                    [MPoly.const(n, 1), MPoly.zero(n)]])]
     return GradedCModule(datum, (-1, 1), theta, left)
+
+
+def atom_alphabet(datum: RootDatum) -> list[SimpleReflection]:
+    """The letters that have a wall atom: all of them in rank one, the finite
+    ones otherwise, since the affine wall atom exists in rank one only."""
+    rank_one = datum.rank == 1 and datum.nsimples == 1
+    return [s for s in simple_reflections(datum) if rank_one or s.kind == "finite"]
 
 
 def atom_for(datum: RootDatum, s: SimpleReflection) -> GradedCModule:
@@ -524,8 +532,6 @@ def oracle_vs_hecke(datum: RootDatum, left: tuple, right: tuple,
                     cutoff: int = 16) -> dict:
     """Compare the oracle's graded Hom rank between two chains with the
     pairing prediction from the spherical module."""
-    from .spherical import hom_rank
-
     mleft = bs_module(datum, left[0], left[1])
     mright = bs_module(datum, right[0], right[1])
     oracle = hom_graded_rank(mleft, mright, cutoff)

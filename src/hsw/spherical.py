@@ -70,10 +70,10 @@ class SphElt(Combination):
 
     @staticmethod
     def basis(datum: RootDatum, lam) -> "SphElt":
-        return SphElt(datum, {tuple(int(x) for x in lam): ONE})
+        return SphElt(datum, {datum.weight(lam): ONE})
 
     def coeff(self, lam) -> LaurentPoly:
-        return self._m.get(tuple(lam), ZERO)
+        return self._m.get(self.datum.weight(lam), ZERO)
 
     def _order(self, lam: Vec):
         """Terms sort in the basis order: leading term first."""
@@ -233,7 +233,7 @@ def canonical_basis(datum: RootDatum, lam) -> SphElt:
     an explicit stack, each entry shorter than the one beneath it, so the
     answer does not depend on the recursion limit.
     """
-    return fill(datum._sph_state.canonical, tuple(int(x) for x in lam),
+    return fill(datum._sph_state.canonical, datum.weight(lam),
                 partial(_prefix_steps, datum))
 
 

@@ -14,11 +14,13 @@ import random
 import time
 
 from .affine import (affine_identity, length_box, min_rep, omega_elements,
-                     reduced_word, simple_reflections)
+                     reduced_word, simple_reflections, translation)
 from .hecke import hecke_mul, hecke_T, verify_bernstein, verify_quadratic_all
 from .laurent import ONE, LaurentPoly, v_power
 from .qanalogue import freudenthal_mult, kato_grid, lusztig_q, weights_of_irrep
 from .rootdata import RootDatum
+from .soergel import (atom_alphabet, atom_E, atom_for, bs_module, modules_equal,
+                      oracle_vs_hecke, tensor)
 from .spherical import (bs_char, canonical_basis, decompose_bs, fl_bs_char, sph_act,
                         sph_bar, sph_project)
 
@@ -60,7 +62,7 @@ def check_bernstein(datum: RootDatum, box: int = 1) -> dict:
     return _report("bernstein", len(rows), bad, started, detail=f"box={box}")
 
 
-def check_length_bfs(datum: RootDatum, max_len: int = 4) -> dict:
+def check_length_bfs(datum: RootDatum, max_len: int = 3) -> dict:
     """The closed length formula equals word distance from the length-zero set.
 
     Breadth-first search over right multiplication by the generators grows
@@ -168,7 +170,7 @@ def check_multiplicity(datum: RootDatum, box: int = 1) -> dict:
     return _report("multiplicity", checked, bad, started, detail=f"box={box}")
 
 
-def check_projection(datum: RootDatum, n_random: int = 100, max_len: int = 3,
+def check_projection(datum: RootDatum, n_random: int = 50, max_len: int = 3,
                      seed: int = 7) -> dict:
     """Projection intertwines the products: act(project(a), b) = project(a*b)."""
     started = time.perf_counter()
@@ -217,15 +219,6 @@ def check_pushforward(datum: RootDatum, max_word: int = 3) -> dict:
     return _report("pushforward", checked, bad, started, detail=f"max_word={max_word}")
 
 
-def _oracle_alphabet(datum: RootDatum) -> list:
-    """Every letter in rank one; otherwise the finite letters, since the
-    affine wall atom of the module oracle exists in rank one only."""
-    simples = simple_reflections(datum)
-    if datum.rank == 1 and datum.nsimples == 1:
-        return list(simples)
-    return [s for s in simples if s.kind == "finite"]
-
-
 def check_oracle(datum: RootDatum, max_word: int | None = None,
                  cutoff: int = 16) -> dict:
     """Graded Hom ranks of chain modules against the pairing prediction.
@@ -234,10 +227,9 @@ def check_oracle(datum: RootDatum, max_word: int | None = None,
     wall atoms exist and affine letters are skipped.
     """
     started = time.perf_counter()
-    from .soergel import oracle_vs_hecke
     if max_word is None:
         max_word = 2 if datum.rank == 1 else 1
-    alphabet = _oracle_alphabet(datum)
+    alphabet = atom_alphabet(datum)
     e = affine_identity(datum)
     chains = [(om, ()) for om in _twists(datum)]
     for n in range(1, max_word + 1):
@@ -264,10 +256,8 @@ def check_modules(datum: RootDatum, seed: int = 7, n_random: int = 6) -> dict:
     on graded ranks, and rank-one twists must compose.
     """
     started = time.perf_counter()
-    from .affine import translation
-    from .soergel import atom_E, atom_for, bs_module, modules_equal, tensor
     rng = random.Random(seed)
-    alphabet = _oracle_alphabet(datum)
+    alphabet = atom_alphabet(datum)
     e = affine_identity(datum)
     unit = atom_E(datum, e)
     bad = []

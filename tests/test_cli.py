@@ -1,6 +1,5 @@
 import json
 import os
-import signal
 
 import pytest
 
@@ -206,24 +205,13 @@ def test_internal_error_exits_three(capsys, monkeypatch):
 
 
 @pytest.fixture
-def worker(monkeypatch):
+def worker(monkeypatch, hang_guard):
     """Force the forked worker; afterwards no child process may be left,
     and a hang ends in an alarm instead of a stuck run."""
     if not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
     monkeypatch.setattr(hsw.verify, "_cpu_count", lambda: 2)
-
-    class Hung(BaseException):
-        """Not an Exception, so no handler on the way up catches it."""
-
-    def hung(signum, frame):
-        raise Hung("verify hung")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
     yield monkeypatch
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -7,6 +7,7 @@ from hsw.affine import simple_reflections
 from hsw.hecke import HeckeElt, hecke_T, hecke_theta
 from hsw.laurent import (ONE, V, V_INV, ZERO, LaurentPoly, add_into, pack, unpack,
                          v_power)
+from hsw.mpoly import MPoly
 from hsw.rootdata import datum_preset
 from hsw.spherical import SphElt, canonical_basis
 
@@ -91,6 +92,27 @@ def test_pow():
     assert f ** 7 == f * f * f * f * f * f * f
     with pytest.raises(ValueError):
         f ** -1
+
+
+@pytest.mark.parametrize("p", [V + 2 * V_INV, MPoly.linear([1, -2]) + MPoly.const(2, 3)],
+                         ids=["LaurentPoly", "MPoly"])
+def test_pow_makes_no_wasted_product(monkeypatch, p):
+    expected = p ** 0
+    assert expected == (ONE if isinstance(p, LaurentPoly) else MPoly.const(2, 1))
+    for k in range(9):
+        assert p ** k == expected
+        expected = expected * p
+    cls, mul, made = type(p), type(p).__mul__, []
+
+    def counted(a, b):
+        made.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    for k, products in ((1, 0), (2, 1), (3, 2), (4, 2), (8, 3)):
+        made.clear()
+        p ** k
+        assert len(made) == products, k
 
 
 def test_bar_involution_random():

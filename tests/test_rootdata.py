@@ -3,9 +3,13 @@ import json
 
 import pytest
 
-from hsw.affine import omega_elements
+from hsw.affine import affine_elt, min_rep, omega_elements, translation
+from hsw.hecke import hecke_theta, theta_factors
+from hsw.qanalogue import (freudenthal_mult, kato_check, kostant_q, lusztig_q,
+                           root_coords_int, weights_of_irrep, weyl_dim)
 from hsw.rootdata import (RootDatum, datum_from_file, datum_from_json,
                           datum_preset, load_datum, mat_identity)
+from hsw.spherical import SphElt, canonical_basis
 
 PRESETS = ["A1", "A2", "B2", "G2", "A1xA1", "GL3"]
 
@@ -188,3 +192,62 @@ def test_load_datum_dispatch():
     assert load_datum("G2").name == "G2"
     with pytest.raises(ValueError):
         load_datum("E9")
+
+
+# every public entry that reads a weight, on A2 with the other weight
+# argument (if any) the dominant (1, 1)
+WEIGHT_READERS = {
+    "weight": lambda d, w: d.weight(w),
+    "chamber_walk": lambda d, w: d.chamber_walk(w),
+    "affine_elt": lambda d, w: affine_elt(d, d.weyl_identity(), w),
+    "translation": translation,
+    "min_rep": min_rep,
+    "hecke_theta": hecke_theta,
+    "theta_factors": theta_factors,
+    "SphElt.basis": SphElt.basis,
+    "SphElt.coeff": lambda d, w: SphElt.basis(d, (1, 1)).coeff(w),
+    "canonical_basis": canonical_basis,
+    "root_coords_int": root_coords_int,
+    "kostant_q": kostant_q,
+    "lusztig_q chi": lambda d, w: lusztig_q(d, w, (1, 1)),
+    "freudenthal_mult chi": lambda d, w: freudenthal_mult(d, (1, 1), w),
+}
+# the entries whose weight is a highest weight, which must be dominant
+HIGHEST_WEIGHT_READERS = {
+    "highest_weight": lambda d, w: d.highest_weight(w),
+    "lusztig_q eta": lambda d, w: lusztig_q(d, (0, 0), w),
+    "freudenthal_mult eta": lambda d, w: freudenthal_mult(d, w, (0, 0)),
+    "weyl_dim": weyl_dim,
+    "weights_of_irrep": weights_of_irrep,
+    "kato_check lambda": lambda d, w: kato_check(d, w, (1, 1)),
+    "kato_check mu": lambda d, w: kato_check(d, (1, 1), w),
+}
+READERS = {**WEIGHT_READERS, **HIGHEST_WEIGHT_READERS}
+BAD_WEIGHTS = {"short": (1,), "long": (1, 0, 0), "2.9": (2.9, 0), "'2'": ("2", 0),
+               "text": "10", "number": 1}
+
+
+@pytest.mark.parametrize("bad", BAD_WEIGHTS.values(), ids=BAD_WEIGHTS.keys())
+@pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
+def test_bad_weight_is_value_error(hang_guard, reader, bad):
+    # a wrong length once sent weights_of_irrep and freudenthal_mult into a
+    # search without end, and let kato_check pass with both sides empty
+    with pytest.raises(ValueError, match="weight"):
+        reader(datum_preset("A2"), bad)
+
+
+@pytest.mark.parametrize("reader", HIGHEST_WEIGHT_READERS.values(),
+                         ids=HIGHEST_WEIGHT_READERS.keys())
+def test_non_dominant_highest_weight_is_value_error(reader):
+    with pytest.raises(ValueError, match="must be dominant"):
+        reader(datum_preset("A2"), (-1, 1))
+
+
+@pytest.mark.parametrize("form", [[1, 0], (True, False), (1.0, 0.0), [1.0, False]],
+                         ids=["list", "bools", "floats", "mixed"])
+@pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
+def test_integral_weight_forms_read_as_ints(reader, form):
+    datum = datum_preset("A2")
+    by_ints = reader(datum, (1, 0))
+    other = reader(datum, form)
+    assert other == by_ints and repr(other) == repr(by_ints)

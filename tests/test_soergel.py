@@ -522,12 +522,13 @@ def test_sparse_hom_rows_match_the_dense_oracle(name, max_word):
     # every degree system of the check_oracle grid, at the default cutoff
     import itertools
 
-    from hsw.verify import _oracle_alphabet, _twists
+    from hsw.soergel import atom_alphabet
+    from hsw.verify import _twists
     datum = datum_preset(name)
     e = affine_identity(datum)
     chains = [(om, ()) for om in _twists(datum)]
     for k in range(1, max_word + 1):
-        chains += [(e, w) for w in itertools.product(_oracle_alphabet(datum), repeat=k)]
+        chains += [(e, w) for w in itertools.product(atom_alphabet(datum), repeat=k)]
     modules = [bs_module(datum, om, w) for om, w in chains]
     invs = fundamental_invariants(datum)
     nonzero = 0

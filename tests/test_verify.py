@@ -1,9 +1,11 @@
+import json
 import os
 from pathlib import Path
 
 import pytest
 
 import hsw.verify
+from hsw.cli import main
 from hsw.laurent import LaurentPoly, v_power
 from hsw.rootdata import datum_preset, load_datum
 from hsw.spherical import SphElt, canonical_basis
@@ -11,6 +13,7 @@ from hsw.verify import (CHECKS, MODULE_CHECKS, check_canonical, check_oracle,
                         run_suite, weights_by_length)
 
 SHEARED = str(Path(__file__).parent / "data" / "a2_sheared.json")
+SPECS = ["A1", "A2", "B2", "G2", "A1xA1", "GL3", pytest.param(SHEARED, id="a2_sheared")]
 FAST_CHECKS = ("quadratic", "length", "projection", "pushforward", "modules")
 
 
@@ -126,8 +129,7 @@ def _suite(monkeypatch, spec, cpus, names=None):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("spec", ["A1", "A2", "B2", "G2", "A1xA1", "GL3",
-                                  pytest.param(SHEARED, id="a2_sheared")])
+@pytest.mark.parametrize("spec", SPECS)
 def test_worker_matches_one_cpu(monkeypatch, spec):
     forked, forks = _suite(monkeypatch, spec, 2)
     alone, none = _suite(monkeypatch, spec, 1)
@@ -144,3 +146,15 @@ def test_repeated_checks_keep_their_rows(monkeypatch, names):
     alone, _ = _suite(monkeypatch, "A1", 1, names)
     assert [r["name"] for r in forked] == names
     assert forked == alone
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_library_and_command_share_defaults(capsys, spec):
+    # the check signatures hold the only defaults: run_suite with no knobs
+    # runs what hsw verify runs with no flags
+    library = run_suite(load_datum(spec))
+    assert main(["verify", "--datum", spec, "--output", "json"]) == 0
+    command = json.loads(capsys.readouterr().out)["reports"]
+    for r in library + command:
+        del r["seconds"]
+    assert library == command
