@@ -31,8 +31,7 @@ from .laurent import LaurentPoly
 from .qanalogue import kato_check, kato_grid, lusztig_q
 from .rootdata import RootDatum, load_datum
 from .soergel import oracle_vs_hecke
-from .spherical import (basis_order, bs_char, canonical_basis, decompose_bs, hom_rank,
-                        sph_pairing)
+from .spherical import basis_order, bs_char, canonical_basis, decompose_bs, hom_rank
 from .verify import CHECKS, check_oracle, run_suite
 
 
@@ -165,17 +164,12 @@ def _chain(ns, datum: RootDatum, side: str):
     return omega, word
 
 
-def _cmd_pairing(ns, datum: RootDatum) -> int:
-    left, right = _chain(ns, datum, "left"), _chain(ns, datum, "right")
-    value = sph_pairing(bs_char(datum, *left), bs_char(datum, *right))
-    _emit(ns, {"pairing": value.to_json()}, [str(value)])
-    return 0
-
-
-def _cmd_hom_rank(ns, datum: RootDatum) -> int:
+def _cmd_hom_rank(key: str, ns, datum: RootDatum) -> int:
+    """``hsw pairing`` (key ``pairing``) and ``hsw hom-rank`` (key
+    ``hom_rank``): the graded pairing of two chain characters."""
     left, right = _chain(ns, datum, "left"), _chain(ns, datum, "right")
     value = hom_rank(datum, left, right)
-    _emit(ns, {"hom_rank": value.to_json()}, [str(value)])
+    _emit(ns, {key: value.to_json()}, [str(value)])
     return 0
 
 
@@ -314,14 +308,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", default="")
     p.set_defaults(fn=_cmd_bs_char)
 
-    for verb, fn in (("pairing", _cmd_pairing), ("hom-rank", _cmd_hom_rank)):
+    for verb, key in (("pairing", "pairing"), ("hom-rank", "hom_rank")):
         p = sub.add_parser(verb, parents=[common],
                            help="graded pairing of two chain characters")
         p.add_argument("--left-omega", default=None)
         p.add_argument("--left-word", default="")
         p.add_argument("--right-omega", default=None)
         p.add_argument("--right-word", default="")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=partial(_cmd_hom_rank, key))
 
     p = sub.add_parser("canonical-basis", parents=[common],
                        help="bar-invariant basis element at a weight")

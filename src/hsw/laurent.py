@@ -47,7 +47,7 @@ class LaurentPoly:
         if coeffs is not None:
             items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
             for e, a in items:
-                e, a = int(e), int(a)
+                e, a = exact_int(e), exact_int(a)
                 s = c.get(e, 0) + a
                 if s:
                     c[e] = s
@@ -224,6 +224,23 @@ class LaurentPoly:
     def to_json(self) -> dict[str, int]:
         """Exponent -> coefficient map with keys ordered lowest exponent first."""
         return {str(e): a for e, a in self.items()}
+
+
+def exact_int(x) -> int:
+    """x read as an int: ints, bools and integral floats such as 3.0 are
+    read as their int.  A value that its int does not equal (2.5, "2",
+    None) is a ValueError naming it.
+
+    >>> exact_int(3.0), exact_int(True)
+    (3, 1)
+    """
+    try:
+        out = int(x)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return out
 
 
 def power(x, n: int, one):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .laurent import power
+from .laurent import exact_int, power
 
 
 class MPoly:
@@ -22,12 +22,11 @@ class MPoly:
         c: dict[tuple, int] = {}
         if coeffs:
             for exps, a in coeffs.items():
-                a = int(a)
-                if not a:
-                    continue
-                exps = tuple(int(e) for e in exps)
+                exps, a = tuple(map(exact_int, exps)), exact_int(a)
                 if len(exps) != nvars or any(e < 0 for e in exps):
                     raise ValueError(f"bad monomial {exps} for {nvars} variables")
+                if not a:
+                    continue
                 s = c.get(exps, 0) + a
                 if s:
                     c[exps] = s
@@ -55,13 +54,7 @@ class MPoly:
     @staticmethod
     def linear(coeffs: Sequence[int]) -> "MPoly":
         n = len(coeffs)
-        out: dict[tuple, int] = {}
-        for i, a in enumerate(coeffs):
-            if a:
-                e = [0] * n
-                e[i] = 1
-                out[tuple(e)] = int(a)
-        return MPoly(n, out)
+        return MPoly(n, {tuple(int(i == j) for j in range(n)): a for i, a in enumerate(coeffs)})
 
     # -- inspection ------------------------------------------------------------
 
@@ -128,7 +121,7 @@ class MPoly:
 
     def substitute_linear(self, mat: Sequence[Sequence[int]]) -> "MPoly":
         """Replace variable i by the linear form sum_j mat[i][j] u_j."""
-        forms = [MPoly.linear([int(x) for x in row]) for row in mat]
+        forms = [MPoly.linear(row) for row in mat]
         out = MPoly.zero(self.nvars)
         for e, a in self._c.items():
             term = MPoly.const(self.nvars, a)

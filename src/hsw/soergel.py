@@ -22,9 +22,10 @@ invariants are held in ``datum._once``): a chain is the tensor of the longest
 prefix chain already held with one atom per remaining letter.  Each distinct
 module is validated once per datum: the table ``validated`` holds the
 contents (generator degrees, wall operators, left tables) that passed.
-A module holds no derived data: the matrices of monomials in its left
-tables are built in a power table local to the operation that needs them
-(``_validate`` and ``tensor``), filled through ``hsw.worklist.fill``.
+A module holds no derived data: ``_carry``, the one routine that carries an
+operator map across a module, fills the matrices of its monomials on that
+module through ``hsw.worklist.fill`` into a power table local to
+``_validate`` or ``tensor``.
 Graded Hom spaces between chains are computed degree by degree by sparse
 integer elimination (``linalg.sparse_rank``), and converted to a rank
 polynomial over the coordinate ring; coefficients beyond the reliable window
@@ -39,7 +40,7 @@ import operator
 
 from . import linalg
 from .affine import AffineElt, SimpleReflection, simple_reflections
-from .laurent import ONE, ZERO, LaurentPoly, v_power
+from .laurent import ONE, ZERO, LaurentPoly, exact_int, v_power
 from .mpoly import MPoly, monomials_of_degree
 from .rootdata import RootDatum
 from .spherical import hom_rank
@@ -75,15 +76,18 @@ def fundamental_invariants(datum: RootDatum) -> tuple[MPoly, ...]:
             break
         monos = monomials_of_degree(n, degree)
         mono_index = {m: i for i, m in enumerate(monos)}
+
+        def coords(p: MPoly) -> list[int]:   # p as a vector over monos
+            vec = [0] * len(monos)
+            for e, a in p._c.items():
+                vec[mono_index[e]] += a
+            return vec
         rows: list[list[int]] = []
         for sub in subs:
             # coefficient rows of p(sub(u)) - p(u) for p running over monomials
             cols = []
             for m in monos:
-                moved = MPoly(n, {m: 1}).substitute_linear(sub)
-                col = [0] * len(monos)
-                for e, a in moved._c.items():
-                    col[mono_index[e]] += a
+                col = coords(MPoly(n, {m: 1}).substitute_linear(sub))
                 col[mono_index[m]] -= 1
                 cols.append(col)
             for out_i in range(len(monos)):
@@ -93,12 +97,7 @@ def fundamental_invariants(datum: RootDatum) -> tuple[MPoly, ...]:
             continue
         # span of products of already-found invariants in this degree; each
         # kernel vector is reduced to its remainder modulo that span
-        span: list[list[int]] = []
-        for prod in _products_of_degree(found, degree):
-            vec = [0] * len(monos)
-            for e, a in prod._c.items():
-                vec[mono_index[e]] += a
-            span.append(vec)
+        span = [coords(prod) for prod in _products_of_degree(found, degree)]
         for vec in kernel:
             reduced = linalg.remainder(span, vec, len(monos))
             if not any(reduced):
@@ -173,15 +172,14 @@ class GradedCModule:
     coefficient, so equal operators are equal dicts; the constructor copies
     the maps, and validation rejects a zero or an entry outside the
     generators or the variables.  Powers of the left tables are not kept:
-    ``_validate`` and ``tensor`` each fill a local power table through
-    ``worklist.fill`` with ``_power_steps`` and drop it on return.
+    ``_carry`` fills them with ``_power_steps`` into its caller's power table.
     """
 
     __slots__ = ("datum", "gens", "theta", "left")
 
     def __init__(self, datum: RootDatum, gens, theta, left):
         self.datum = datum
-        self.gens = tuple(int(g) for g in gens)
+        self.gens = tuple(map(exact_int, gens))
         self.theta = tuple(dict(m) for m in theta)
         self.left = tuple(dict(m) for m in left)
         # the verdict depends only on these tables and the datum, so content
@@ -200,9 +198,6 @@ class GradedCModule:
     def size(self) -> int:
         return len(self.gens)
 
-    def invariants(self) -> tuple[MPoly, ...]:
-        return fundamental_invariants(self.datum)
-
     def grk(self) -> LaurentPoly:
         out = ZERO
         for g in self.gens:
@@ -213,7 +208,7 @@ class GradedCModule:
 
     def _validate(self) -> None:
         n = self.size()
-        invs = self.invariants()
+        invs = fundamental_invariants(self.datum)
         if len(self.theta) != len(invs):
             raise ValueError("need one wall operator per fundamental invariant")
         if len(self.left) != self.nvars:
@@ -230,7 +225,7 @@ class GradedCModule:
         powers: dict[tuple, OpMap] = {}  # shared by the invariants, dropped on return
         for j, y in enumerate(invs):
             scalar = {(i, i, e): a for i in range(n) for e, a in y._c.items()}
-            if self._eval_poly(y, powers) != scalar:
+            if _carry({(0, 0, e): a for e, a in y._c.items()}, self, powers, {}) != scalar:
                 raise ValueError(f"left table does not reproduce invariant {j}")
         for j in range(len(invs)):
             for k in range(j + 1, len(invs)):
@@ -267,18 +262,22 @@ class GradedCModule:
         lower = yield exps[:c] + (exps[c] - 1,) + exps[c + 1:]
         return _pm_mul(lower, self.left[c])
 
-    def _eval_poly(self, p: MPoly, powers: dict) -> OpMap:
-        """Matrix of left multiplication by an arbitrary polynomial: the sum
-        of its monomial matrices, filled into the given power table, times
-        their coefficients."""
-        acc: dict[tuple, int] = {}
-        for exps, a in p._c.items():
-            for key, b in fill(powers, exps, self._power_steps).items():
-                acc[key] = acc.get(key, 0) + a * b
-        return {key: c for key, c in acc.items() if c}
-
     def __repr__(self) -> str:
         return f"GradedCModule(gens={self.gens}, over {self.datum.name})"
+
+
+def _carry(table: OpMap, n: GradedCModule, powers: dict, acc: dict) -> OpMap:
+    """acc plus table carried across n: each entry c * u^e at (a, i) becomes
+    c times the matrix of left multiplication by u^e on n, in block (a, i).
+    The matrices are filled into powers, a power table of n, through
+    ``worklist.fill`` with ``n._power_steps``; acc is changed in place."""
+    sn = n.size()
+    steps = n._power_steps
+    for (a, i, e), c in table.items():
+        for (b, k, e2), c2 in fill(powers, e, steps).items():
+            key = (a * sn + b, i * sn + k, e2)
+            acc[key] = acc.get(key, 0) + c * c2
+    return {key: c for key, c in acc.items() if c}
 
 
 # -- atoms ------------------------------------------------------------------------------------
@@ -390,7 +389,8 @@ def tensor(m: GradedCModule, n: GradedCModule) -> GradedCModule:
 
     Generators are pairs in row-major order.  Wall operators follow the sum
     rule theta(x & y) = theta(x) & y + x & theta(y), with each term of the
-    first factor carried across the second factor by its monomial matrix.
+    first factor carried across the second factor by its monomial matrix
+    (``_carry``).
     """
     if m.datum is not n.datum:
         raise ValueError("tensor factors live over different data")
@@ -398,24 +398,13 @@ def tensor(m: GradedCModule, n: GradedCModule) -> GradedCModule:
     sn = n.size()
     gens = tuple(g + h for g in m.gens for h in n.gens)
     powers: dict[tuple, OpMap] = {}  # of the second factor, dropped on return
-    steps = n._power_steps
-
-    def carried(table: OpMap, acc: dict) -> OpMap:
-        """acc plus the first factor's table, each term carried across the
-        second factor by the left table of its monomial."""
-        for (a, i, e), c in table.items():
-            for (bq, k, e2), c2 in fill(powers, e, steps).items():
-                key = (a * sn + bq, i * sn + k, e2)
-                acc[key] = acc.get(key, 0) + c * c2
-        return {key: c for key, c in acc.items() if c}
-
     theta_out = []
     for mt, nt in zip(m.theta, n.theta):
         # the second factor's operator on each first-factor generator
         acc = {(i * sn + bq, i * sn + k, e): c for i in range(m.size())
                for (bq, k, e), c in nt.items()}
-        theta_out.append(carried(mt, acc))
-    left_out = [carried(t, {}) for t in m.left]
+        theta_out.append(_carry(mt, n, powers, acc))
+    left_out = [_carry(t, n, powers, {}) for t in m.left]
     return GradedCModule(datum, gens, theta_out, left_out)
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from hsw.affine import simple_reflections
 from hsw.hecke import HeckeElt, hecke_T, hecke_theta
-from hsw.laurent import (ONE, V, V_INV, ZERO, LaurentPoly, add_into, pack, unpack,
-                         v_power)
+from hsw.laurent import (ONE, V, V_INV, ZERO, LaurentPoly, add_into, exact_int, pack,
+                         unpack, v_power)
 from hsw.mpoly import MPoly
 from hsw.rootdata import datum_preset
 from hsw.spherical import SphElt, canonical_basis
@@ -82,6 +82,73 @@ def test_packed_arithmetic_is_polynomial_arithmetic():
         assert unpack(nf * ng, base_f + base_g, 64) == f * g
     big = LaurentPoly({-3: 1 << 200, 4: -(1 << 190) + 7})
     assert unpack(pack(big, -3, 256), -3, 256) == big
+
+
+# -- exponents and coefficients are read as exact integers -----------------------------
+
+
+NOT_INTEGERS = {"2.5": 2.5, "0.9": 0.9, "'2'": "2", "None": None, "nan": float("nan"),
+                "inf": float("inf"), "list": [1]}
+
+
+@pytest.mark.parametrize("x", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+def test_exact_int_rejects_what_its_int_does_not_equal(x):
+    with pytest.raises(ValueError, match="is not an integer"):
+        exact_int(x)
+
+
+def test_exact_int_reads_integral_forms():
+    for x, want in ((3, 3), (-7, -7), (True, 1), (False, 0), (3.0, 3), (-2.0, -2),
+                    (2 ** 70, 2 ** 70)):
+        got = exact_int(x)
+        assert got == want and type(got) is int
+
+
+@pytest.mark.parametrize("coeffs", [{0: 2.5}, {0.9: 1}, {"3": "2"}, {3: "2"}, {None: 1},
+                                    {0: None}, [(1, 2.5)], [(0.5, 1)]],
+                         ids=["coeff 2.5", "exponent 0.9", "both text", "coeff text",
+                              "exponent None", "coeff None", "pair coeff", "pair exponent"])
+def test_laurent_rejects_inexact_integers(coeffs):
+    # these once truncated: LaurentPoly({0: 2.5}) == 2, {0.9: 1} printed 1
+    with pytest.raises(ValueError, match="is not an integer"):
+        LaurentPoly(coeffs)
+
+
+def test_laurent_reads_integral_forms():
+    want = LaurentPoly({-1: 1, 3: 2})
+    for coeffs in ({-1: True, 3: 2}, {-1.0: 1.0, 3.0: 2}, [(-1, 1), (3.0, 1), (3, True)]):
+        got = LaurentPoly(coeffs)
+        assert got == want and repr(got) == repr(want) and str(got) == "v^-1 + 2*v^3"
+        assert all(type(e) is int and type(a) is int for e, a in got.items())
+
+
+@pytest.mark.parametrize("coeffs", [{(1.5,): 2.7}, {(1,): 2.5}, {("1",): 1}, {(1,): "2"},
+                                    {(None,): 1}, {(1,): None}, {(1.5,): 0}],
+                         ids=["both", "coeff", "exponent text", "coeff text",
+                              "exponent None", "coeff None", "zero coeff"])
+def test_mpoly_rejects_inexact_integers(coeffs):
+    # MPoly(1, {(1.5,): 2.7}) once printed 2*u1
+    with pytest.raises(ValueError, match="is not an integer"):
+        MPoly(1, coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [[2.5, 0], ["2", 0], [None, 1], [1, 0.5]])
+def test_mpoly_linear_rejects_inexact_integers(coeffs):
+    with pytest.raises(ValueError, match="is not an integer"):
+        MPoly.linear(coeffs)
+    with pytest.raises(ValueError, match="is not an integer"):
+        MPoly.var(2, 0).substitute_linear([coeffs, [0, 1]])
+
+
+def test_mpoly_reads_integral_forms():
+    want = MPoly(2, {(2, 0): 3, (0, 1): 1})
+    for coeffs in ({(2.0, 0): 3.0, (0, 1): True}, {(2, False): 3, (0.0, 1.0): 1}):
+        got = MPoly(2, coeffs)
+        assert got == want and repr(got) == repr(want) and str(got) == "u2 + 3*u1^2"
+    linear = MPoly.linear([True, 2.0])
+    assert repr(linear) == repr(MPoly.linear([1, 2])) == "MPoly(2, {(0, 1): 2, (1, 0): 1})"
+    p = MPoly(2, {(1, 1): 1})
+    assert repr(p.substitute_linear([[1.0, 0], [False, True]])) == repr(p)
 
 
 def test_pow():

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 
 import pytest
@@ -7,8 +9,8 @@ from hsw.affine import affine_identity, simple_reflections, word_elt
 from hsw.laurent import LaurentPoly
 from hsw.mpoly import MPoly
 from hsw.rootdata import _simply_connected, datum_preset
-from hsw.soergel import (CutoffError, GradedCModule, _flat, _pm_mul,
-                         atom_D_finite, atom_E, atom_for, bs_module,
+from hsw.soergel import (CutoffError, GradedCModule, _carry, _flat, _pm_mul,
+                         atom_alphabet, atom_D_finite, atom_E, atom_for, bs_module,
                          fundamental_invariants, hom_graded_rank,
                          modules_equal, oracle_vs_hecke, tensor)
 from hsw.spherical import hom_rank
@@ -289,6 +291,97 @@ def test_monomial_matrix_matches_product_from_identity(g2):
             assert _dense(mat, size, size, nv) == want
 
 
+def _carry_oracle(table, nrows, ncols, n, acc):
+    """The rows of MPoly entries of acc plus table carried across n, by the
+    evaluation _carry replaced: each entry c * u^e at (a, i) adds c times the
+    product of n's left tables from the identity, one table per factor of
+    u^e, into block (a, i)."""
+    size, nv = n.size(), n.nvars
+    left = _tables(n.left, size, nv)
+    one, zero = MPoly.const(nv, 1), MPoly.zero(nv)
+    identity = [[one if b == k else zero for k in range(size)] for b in range(size)]
+    out = _dense(acc, nrows * size, ncols * size, nv)
+    for (a, i, e), c in table.items():
+        power = identity
+        for var, k in enumerate(e):
+            for _ in range(k):
+                power = _naive_mul(power, left[var])
+        for b in range(size):
+            for k in range(size):
+                cell = out[a * size + b][i * size + k]
+                out[a * size + b][i * size + k] = cell + power[b][k] * c
+    return out
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "B3"])
+def test_carry_matches_products_from_the_identity(name):
+    from hsw.verify import _twists
+    datum = _datum(name)
+    nv = datum.rank
+    letters = atom_alphabet(datum)
+    atoms = [atom_E(datum, om) for om in _twists(datum)] + [atom_for(datum, s) for s in letters]
+    chain = bs_module(datum, affine_identity(datum), letters[:2])
+    invs = fundamental_invariants(datum)
+    # each invariant as a 1x1 table, on every atom and on a two-letter chain
+    for n in atoms + [chain]:
+        powers = {}
+        for y in invs:
+            table = {(0, 0, e): a for e, a in y._c.items()}
+            got = _carry(table, n, powers, {})
+            assert _dense(got, n.size(), n.size(), nv) == _carry_oracle(table, 1, 1, n, {})
+            assert got == {(i, i, e): a for i in range(n.size()) for e, a in y._c.items()}
+    # tables with off-diagonal blocks, carried across the second factor of a
+    # tensor, with the second factor's wall operators already in acc
+    for m in atoms:
+        for n in atoms + [chain]:
+            sm, sn = m.size(), n.size()
+            mn = tensor(m, n)
+            for t, want in zip(m.left, mn.left):
+                assert _dense(want, sm * sn, sm * sn, nv) == _carry_oracle(t, sm, sm, n, {})
+                got = _carry(t, n, {}, {})
+                assert got == want
+                # acc is added to, and a coefficient that cancels is dropped
+                assert _carry(t, n, {}, {k: -c for k, c in got.items()}) == {}
+            for mt, nt, want in zip(m.theta, n.theta, mn.theta):
+                acc = {(i * sn + b, i * sn + k, e): c for i in range(sm)
+                       for (b, k, e), c in nt.items()}
+                assert _dense(want, sm * sn, sm * sn, nv) == _carry_oracle(mt, sm, sm, n, acc)
+    assert any(a != i for m in atoms for t in m.left for a, i, _ in t)
+
+
+def test_only_carry_fills_the_power_tables():
+    # the matrices of monomials on a module are filled with _power_steps in
+    # soergel._carry alone: any other reference under src/hsw is listed
+    stray, inside_hits = [], 0
+    for path in sorted(pathlib.Path(soergel.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inside = set()
+        for node in tree.body:
+            if path.name == "soergel.py" and getattr(node, "name", None) == "_carry":
+                inside = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (getattr(node, "id", None) or getattr(node, "attr", None)) == "_power_steps":
+                if id(node) in inside:
+                    inside_hits += 1
+                else:
+                    stray.append(f"{path.name}:{node.lineno}")
+    assert stray == [] and inside_hits
+
+
+@pytest.mark.parametrize("gens", [(-0.5, 1), ("-1", 1), (None, 1)], ids=["half", "text", "None"])
+def test_module_rejects_inexact_degrees(a1, gens):
+    atom = atom_for(a1, simple_reflections(a1)[0])
+    with pytest.raises(ValueError, match="is not an integer"):
+        GradedCModule(a1, gens, atom.theta, atom.left)
+
+
+def test_module_reads_integral_degrees(a1):
+    atom = atom_for(a1, simple_reflections(a1)[0])
+    for gens in ((-1.0, 1.0), (-1, True)):
+        m = GradedCModule(a1, gens, atom.theta, atom.left)
+        assert modules_equal(m, atom) and all(type(g) is int for g in m.gens)
+
+
 # -- each atom and chain is built once per datum -------------------------------------------
 
 
@@ -522,7 +615,6 @@ def test_sparse_hom_rows_match_the_dense_oracle(name, max_word):
     # every degree system of the check_oracle grid, at the default cutoff
     import itertools
 
-    from hsw.soergel import atom_alphabet
     from hsw.verify import _twists
     datum = datum_preset(name)
     e = affine_identity(datum)
