@@ -50,6 +50,10 @@ def _weight(datum: RootDatum, text: str | None):
     return parse_weight(text, datum.rank)
 
 
+def _word_at(datum: RootDatum, word: str | None, weight: str | None) -> AffineElt:
+    return word_elt(datum, _word(datum, word)) * translation(datum, _weight(datum, weight))
+
+
 def _element(datum: RootDatum, text: str | None) -> AffineElt:
     """Parse ``word@weight``, a bare word, a bare weight, or ``e``."""
     if text is None:
@@ -59,8 +63,7 @@ def _element(datum: RootDatum, text: str | None) -> AffineElt:
         return affine_identity(datum)
     if "@" in text:
         wpart, _, lpart = text.partition("@")
-        x = word_elt(datum, _word(datum, wpart))
-        return x * translation(datum, _weight(datum, lpart))
+        return _word_at(datum, wpart, lpart)
     if text[0] in "-0123456789":
         return translation(datum, parse_weight(text, datum.rank))
     return word_elt(datum, parse_word(datum, text))
@@ -116,13 +119,13 @@ def _emit(ns, payload: dict, text_lines: list[str]) -> None:
 
 
 def _cmd_length(ns, datum: RootDatum) -> int:
-    x = word_elt(datum, _word(datum, ns.w)) * translation(datum, _weight(datum, ns.lam))
+    x = _word_at(datum, ns.w, ns.lam)
     _emit(ns, {"element": x.to_json(), "length": x.length}, [str(x.length)])
     return 0
 
 
 def _cmd_reduced_word(ns, datum: RootDatum) -> int:
-    x = word_elt(datum, _word(datum, ns.w)) * translation(datum, _weight(datum, ns.lam))
+    x = _word_at(datum, ns.w, ns.lam)
     omega, word = reduced_word(x)
     payload = {
         "length": x.length,
@@ -151,23 +154,23 @@ def _cmd_theta(ns, datum: RootDatum) -> int:
     return 0
 
 
+def _chain(ns, datum: RootDatum, prefix: str = ""):
+    """(omega, word) from ``--omega`` and ``--word``, or with prefix ``left_``
+    from ``--left-omega`` and ``--left-word``."""
+    omega = _omega_of(datum, getattr(ns, prefix + "omega"))
+    return omega, _word(datum, getattr(ns, prefix + "word"))
+
+
 def _cmd_bs_char(ns, datum: RootDatum) -> int:
-    omega = _omega_of(datum, ns.omega)
-    m = bs_char(datum, omega, _word(datum, ns.word))
+    m = bs_char(datum, *_chain(ns, datum))
     _emit(ns, {"terms": m.to_json()}, [m.terms_text()])
     return 0
-
-
-def _chain(ns, datum: RootDatum, side: str):
-    omega = _omega_of(datum, getattr(ns, f"{side}_omega"))
-    word = _word(datum, getattr(ns, f"{side}_word"))
-    return omega, word
 
 
 def _cmd_hom_rank(key: str, ns, datum: RootDatum) -> int:
     """``hsw pairing`` (key ``pairing``) and ``hsw hom-rank`` (key
     ``hom_rank``): the graded pairing of two chain characters."""
-    left, right = _chain(ns, datum, "left"), _chain(ns, datum, "right")
+    left, right = _chain(ns, datum, "left_"), _chain(ns, datum, "right_")
     value = hom_rank(datum, left, right)
     _emit(ns, {key: value.to_json()}, [str(value)])
     return 0
@@ -180,9 +183,7 @@ def _cmd_canonical(ns, datum: RootDatum) -> int:
 
 
 def _cmd_decompose(ns, datum: RootDatum) -> int:
-    omega = _omega_of(datum, ns.omega)
-    word = _word(datum, ns.word)
-    mults = decompose_bs(datum, omega, word)
+    mults = decompose_bs(datum, *_chain(ns, datum))
     order = sorted(mults, key=partial(basis_order, datum))
     payload = {"terms": [{"weight": list(lam), "mult": mults[lam].to_json()} for lam in order]}
     lines = [f"b[{listed(lam)}]: {mults[lam]}" for lam in order] or ["0"]
@@ -215,7 +216,7 @@ def _cmd_oracle_check(ns, datum: RootDatum) -> int:
     single = any(getattr(ns, k) is not None
                  for k in ("left_omega", "left_word", "right_omega", "right_word"))
     if single:
-        left, right = _chain(ns, datum, "left"), _chain(ns, datum, "right")
+        left, right = _chain(ns, datum, "left_"), _chain(ns, datum, "right_")
         row = oracle_vs_hecke(datum, left, right, cutoff=ns.cutoff)
         ok = row["pass"]
         _emit(ns, row, [

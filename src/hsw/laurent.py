@@ -391,6 +391,10 @@ class Combination:
         return bool(self._m)
 
     def __add__(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
+        if other.datum is not self.datum:
+            raise ValueError("operands live over different data")
         m = dict(self._m)
         add_into(m, other._m.items())
         return type(self)(self.datum, m)

@@ -47,9 +47,9 @@ class MPoly:
 
     @staticmethod
     def var(nvars: int, i: int) -> "MPoly":
-        e = [0] * nvars
-        e[i] = 1
-        return MPoly(nvars, {tuple(e): 1})
+        if not 0 <= i < nvars:
+            raise ValueError(f"variable index {i} outside 0..{nvars - 1}")
+        return MPoly(nvars, {tuple(int(j == i) for j in range(nvars)): 1})
 
     @staticmethod
     def linear(coeffs: Sequence[int]) -> "MPoly":
@@ -80,7 +80,14 @@ class MPoly:
 
     # -- arithmetic ---------------------------------------------------------------
 
+    def _same_ring(self, other) -> None:
+        if not isinstance(other, MPoly):
+            raise TypeError(f"cannot combine MPoly with {type(other).__name__}")
+        if other.nvars != self.nvars:
+            raise ValueError(f"operands have {self.nvars} and {other.nvars} variables")
+
     def __add__(self, other: "MPoly") -> "MPoly":
+        self._same_ring(other)
         c = dict(self._c)
         for e, a in other._c.items():
             s = c.get(e, 0) + a
@@ -101,6 +108,7 @@ class MPoly:
             if not other:
                 return MPoly.zero(self.nvars)
             return _wrap(self.nvars, {e: a * other for e, a in self._c.items()})
+        self._same_ring(other)
         c: dict[tuple, int] = {}
         for e1, a1 in self._c.items():
             for e2, a2 in other._c.items():

@@ -1,7 +1,8 @@
 """Cross-checks wiring the independent computation paths against each other.
 
-Each check returns a report dictionary with a verdict, the number of cases
-inspected, and a short list of failing cases; ``run_suite`` collects them.
+Each check is registered in ``CHECKS`` under its name by ``_check(name)``, and
+returns a report: a verdict, the number of cases inspected, a short list of
+failing cases and its seconds.  ``run_suite`` collects the reports.
 The command line ``verify`` verb prints these reports and the test suite
 asserts on them.
 """
@@ -12,11 +13,12 @@ import itertools
 import os
 import random
 import time
+from functools import wraps
 
 from .affine import (affine_identity, length_box, min_rep, omega_elements,
                      reduced_word, simple_reflections, translation)
 from .hecke import hecke_mul, hecke_T, verify_bernstein, verify_quadratic_all
-from .laurent import ONE, LaurentPoly, v_power
+from .laurent import ONE, v_power
 from .qanalogue import freudenthal_mult, kato_grid, lusztig_q, weights_of_irrep
 from .rootdata import RootDatum
 from .soergel import (atom_alphabet, atom_E, atom_for, bs_module, modules_equal,
@@ -33,43 +35,50 @@ def _twists(datum: RootDatum):
     return omega_elements(datum)
 
 
-def _report(name: str, checked: int, failures: list, started: float,
-            detail: str = "") -> dict:
-    return {
-        "name": name,
-        "pass": not failures,
-        "checked": checked,
-        "failures": [str(f) for f in failures[:8]],
-        "seconds": round(time.perf_counter() - started, 3),
-        "detail": detail,
-    }
+CHECKS: dict = {}  # name -> check, in the order registered
+_MODULES_TRIALS = 6  # random cases of each law in check_modules
 
 
-def check_quadratic(datum: RootDatum) -> dict:
+def _check(name: str):
+    """Register a check under name.  The body returns (checked, failures,
+    detail); the function registered and bound in its place returns the report."""
+    def register(body):
+        @wraps(body)
+        def check(*args, **kwargs) -> dict:
+            started = time.perf_counter()
+            checked, failures, detail = body(*args, **kwargs)
+            return {"name": name, "pass": not failures, "checked": checked,
+                    "failures": [str(f) for f in failures[:8]],
+                    "seconds": round(time.perf_counter() - started, 3), "detail": detail}
+        CHECKS[name] = check
+        return check
+    return register
+
+
+@_check("quadratic")
+def check_quadratic(datum: RootDatum):
     """Every generator satisfies the quadratic relation."""
-    started = time.perf_counter()
     rows = verify_quadratic_all(datum)
     bad = [r["generator"] for r in rows if not r["pass"]]
-    return _report("quadratic", len(rows), bad, started,
-                   detail="finite and affine generators")
+    return len(rows), bad, "finite and affine generators"
 
 
-def check_bernstein(datum: RootDatum, box: int = 1) -> dict:
+@_check("bernstein")
+def check_bernstein(datum: RootDatum, box: int = 1):
     """The defining relations of the commutative family on a coordinate box."""
-    started = time.perf_counter()
     rows = verify_bernstein(datum, box)
     bad = [f"{r['relation']}:{r['case']}" for r in rows if not r["pass"]]
-    return _report("bernstein", len(rows), bad, started, detail=f"box={box}")
+    return len(rows), bad, f"box={box}"
 
 
-def check_length_bfs(datum: RootDatum, max_len: int = 3) -> dict:
+@_check("length")
+def check_length_bfs(datum: RootDatum, max_len: int = 3):
     """The closed length formula equals word distance from the length-zero set.
 
     Breadth-first search over right multiplication by the generators grows
     the group layer by layer; the layer index must match the formula on
     every element reached.
     """
-    started = time.perf_counter()
     simples = simple_reflections(datum)
     frontier = list(_twists(datum))
     seen = {x: 0 for x in frontier}
@@ -88,8 +97,7 @@ def check_length_bfs(datum: RootDatum, max_len: int = 3) -> dict:
     for x, k in seen.items():
         if x.length != k:
             bad.append(f"{x!r}: formula {x.length}, word distance {k}")
-    return _report("length", len(seen), bad, started,
-                   detail=f"max_len={max_len}, elements={len(seen)}")
+    return len(seen), bad, f"max_len={max_len}, elements={len(seen)}"
 
 
 def weights_by_length(datum: RootDatum, max_len: int) -> list:
@@ -99,7 +107,8 @@ def weights_by_length(datum: RootDatum, max_len: int) -> list:
             if min_rep(datum, lam).length <= max_len]
 
 
-def check_canonical(datum: RootDatum, max_len: int = 3) -> dict:
+@_check("canonical")
+def check_canonical(datum: RootDatum, max_len: int = 3):
     """The canonical basis on all weights up to a length bound, against the
     properties that determine it.
 
@@ -112,7 +121,6 @@ def check_canonical(datum: RootDatum, max_len: int = 3) -> dict:
     that fails either of the first two is not tested further.  On top:
     nonnegative coefficients and chain multiplicities.
     """
-    started = time.perf_counter()
     bad = []
     weights = weights_by_length(datum, max_len)
     for lam in weights:
@@ -141,22 +149,21 @@ def check_canonical(datum: RootDatum, max_len: int = 3) -> dict:
                 bad.append(f"{lam}: chain multiplicity at {mu} is {c}")
         if mults.get(lam) != ONE:
             bad.append(f"{lam}: chain does not contain its own weight once")
-    return _report("canonical", len(weights), bad, started,
-                   detail=f"max_len={max_len}, weights={len(weights)}")
+    return len(weights), bad, f"max_len={max_len}, weights={len(weights)}"
 
 
-def check_kato(datum: RootDatum, max_len: int = 3) -> dict:
+@_check("kato")
+def check_kato(datum: RootDatum, max_len: int = 3):
     """Canonical-basis coefficients against graded weight multiplicities."""
-    started = time.perf_counter()
     rows = kato_grid(datum, max_len)
     bad = [f"{r['lambda']},{r['mu']}: {r['lhs']} vs {r['rhs']}"
            for r in rows if not r["pass"]]
-    return _report("kato", len(rows), bad, started, detail=f"max_len={max_len}")
+    return len(rows), bad, f"max_len={max_len}"
 
 
-def check_multiplicity(datum: RootDatum, box: int = 1) -> dict:
+@_check("multiplicity")
+def check_multiplicity(datum: RootDatum, box: int = 1):
     """Graded multiplicities at q = 1 against the Freudenthal recursion."""
-    started = time.perf_counter()
     checked = 0
     bad = []
     for eta in itertools.product(range(box + 1), repeat=datum.rank):
@@ -167,13 +174,12 @@ def check_multiplicity(datum: RootDatum, box: int = 1) -> dict:
             if graded.at_one() != freudenthal_mult(datum, eta, chi):
                 bad.append(f"eta={eta}, chi={chi}")
             checked += 1
-    return _report("multiplicity", checked, bad, started, detail=f"box={box}")
+    return checked, bad, f"box={box}"
 
 
-def check_projection(datum: RootDatum, n_random: int = 50, max_len: int = 3,
-                     seed: int = 7) -> dict:
+@_check("projection")
+def check_projection(datum: RootDatum, n_random: int = 50, max_len: int = 3, seed: int = 7):
     """Projection intertwines the products: act(project(a), b) = project(a*b)."""
-    started = time.perf_counter()
     rng = random.Random(seed)
     simples = simple_reflections(datum)
     omegas = _twists(datum)
@@ -190,18 +196,17 @@ def check_projection(datum: RootDatum, n_random: int = 50, max_len: int = 3,
         a, b = hecke_T(x), hecke_T(y)
         if sph_act(sph_project(a), b) != sph_project(hecke_mul(a, b)):
             bad.append(f"x={x!r}, y={y!r}")
-    return _report("projection", n_random, bad, started,
-                   detail=f"max_len={max_len}, seed={seed}")
+    return n_random, bad, f"max_len={max_len}, seed={seed}"
 
 
-def check_pushforward(datum: RootDatum, max_word: int = 3) -> dict:
+@_check("pushforward")
+def check_pushforward(datum: RootDatum, max_word: int = 3):
     """Chains built in the algebra project onto chains built in the module.
 
     The algebra chain of a twist omega and a word is T_omega times the
     product of the C_s = T_s + v^-1 of the word (``fl_bs_char``); each is
     built from the chain of the word without its last letter.
     """
-    started = time.perf_counter()
     simples = simple_reflections(datum)
     c_s = {s: fl_bs_char(datum, (s,)) for s in simples}
     checked = 0
@@ -216,17 +221,16 @@ def check_pushforward(datum: RootDatum, max_word: int = 3) -> dict:
                 if lhs != bs_char(datum, omega, word):
                     bad.append(f"omega={omega!r}, word={[s.label for s in word]}")
                 checked += 1
-    return _report("pushforward", checked, bad, started, detail=f"max_word={max_word}")
+    return checked, bad, f"max_word={max_word}"
 
 
-def check_oracle(datum: RootDatum, max_word: int | None = None,
-                 cutoff: int = 16) -> dict:
+@_check("oracle")
+def check_oracle(datum: RootDatum, max_word: int | None = None, cutoff: int = 16):
     """Graded Hom ranks of chain modules against the pairing prediction.
 
     In rank one the whole alphabet is available; otherwise only the finite
     wall atoms exist and affine letters are skipped.
     """
-    started = time.perf_counter()
     if max_word is None:
         max_word = 2 if datum.rank == 1 else 1
     alphabet = atom_alphabet(datum)
@@ -236,43 +240,40 @@ def check_oracle(datum: RootDatum, max_word: int | None = None,
         for word in itertools.product(alphabet, repeat=n):
             chains.append((e, word))
     bad = []
-    rows = 0
     for left in chains:
         for right in chains:
             row = oracle_vs_hecke(datum, left, right, cutoff=cutoff)
-            rows += 1
             if not row["pass"]:
                 bad.append(f"{row['left']} vs {row['right']}: "
                            f"{row['oracle']} != {row['predicted']}")
-    return _report("oracle", rows, bad, started,
-                   detail=f"max_word={max_word}, cutoff={cutoff}, chains={len(chains)}")
+    return len(chains) ** 2, bad, f"max_word={max_word}, cutoff={cutoff}, chains={len(chains)}"
 
 
-def check_modules(datum: RootDatum, seed: int = 7, n_random: int = 6) -> dict:
+@_check("modules")
+def check_modules(datum: RootDatum, seed: int = 7):
     """Structural laws of the module category on random small chains.
 
     Construction itself validates commutation and homogeneity; on top of
     that the tensor product must be associative, unital, and multiplicative
     on graded ranks, and rank-one twists must compose.
     """
-    started = time.perf_counter()
     rng = random.Random(seed)
     alphabet = atom_alphabet(datum)
     e = affine_identity(datum)
     unit = atom_E(datum, e)
     bad = []
     checked = 0
-    for _ in range(n_random):
+    for _ in range(_MODULES_TRIALS):
         word = tuple(rng.choice(alphabet) for _ in range(rng.randrange(1, 4)))
         m = bs_module(datum, e, word)
-        if m.grk() != _word_grk(word):
+        if m.grk() != (v_power(-1) + v_power(1)) ** len(word):
             bad.append(f"grk of {[s.label for s in word]}")
         if not modules_equal(tensor(unit, m), m):
             bad.append(f"left unit on {[s.label for s in word]}")
         if not modules_equal(tensor(m, unit), m):
             bad.append(f"right unit on {[s.label for s in word]}")
         checked += 3
-    for _ in range(n_random):
+    for _ in range(_MODULES_TRIALS):
         atoms = [atom_for(datum, rng.choice(alphabet)) for _ in range(3)]
         lhs = tensor(tensor(atoms[0], atoms[1]), atoms[2])
         rhs = tensor(atoms[0], tensor(atoms[1], atoms[2]))
@@ -280,31 +281,14 @@ def check_modules(datum: RootDatum, seed: int = 7, n_random: int = 6) -> dict:
             bad.append("associativity on random atoms")
         checked += 1
     box = list(itertools.product(range(-1, 2), repeat=datum.rank))
-    for _ in range(n_random):
+    for _ in range(_MODULES_TRIALS):
         x = rng.choice(_twists(datum)) * translation(datum, rng.choice(box))
         y = rng.choice(_twists(datum)) * translation(datum, rng.choice(box))
         if not modules_equal(tensor(atom_E(datum, x), atom_E(datum, y)), atom_E(datum, x * y)):
             bad.append(f"twist composition at {x!r}, {y!r}")
         checked += 1
-    return _report("modules", checked, bad, started, detail=f"seed={seed}")
+    return checked, bad, f"seed={seed}"
 
-
-def _word_grk(word) -> LaurentPoly:
-    return (v_power(-1) + v_power(1)) ** len(word)
-
-
-CHECKS = {
-    "quadratic": check_quadratic,
-    "bernstein": check_bernstein,
-    "length": check_length_bfs,
-    "canonical": check_canonical,
-    "kato": check_kato,
-    "multiplicity": check_multiplicity,
-    "projection": check_projection,
-    "pushforward": check_pushforward,
-    "oracle": check_oracle,
-    "modules": check_modules,
-}
 
 # the graded-module side; the other checks are the T-basis side
 MODULE_CHECKS = frozenset({"canonical", "kato", "multiplicity", "oracle", "modules"})

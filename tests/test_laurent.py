@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 
 import pytest
@@ -149,6 +150,75 @@ def test_mpoly_reads_integral_forms():
     assert repr(linear) == repr(MPoly.linear([1, 2])) == "MPoly(2, {(0, 1): 2, (1, 0): 1})"
     p = MPoly(2, {(1, 1): 1})
     assert repr(p.substitute_linear([[1.0, 0], [False, True]])) == repr(p)
+
+
+ARITH = [operator.add, operator.sub, operator.mul]
+
+
+@pytest.mark.parametrize("op", ARITH, ids=["add", "sub", "mul"])
+@pytest.mark.parametrize("other", [2.5, "u", None, V, 1],
+                         ids=["float", "str", "None", "LaurentPoly", "int"])
+def test_mpoly_wrong_operand_is_type_error(op, other):
+    # an int is a scalar for * alone; MPoly + int stays unsupported
+    x = MPoly.var(2, 0)
+    if op is operator.mul and other == 1:
+        assert x * other == other * x == x
+        return
+    for a, b in ((x, other), (other, x)):
+        with pytest.raises(TypeError):
+            op(a, b)
+
+
+@pytest.mark.parametrize("op", ARITH, ids=["add", "sub", "mul"])
+def test_mpoly_operands_in_different_variables_are_value_error(op):
+    # x + y once held both (1, 0) and (1, 0, 0); x * y once gave u1^2
+    for x, y in ((MPoly.var(2, 0), MPoly.var(3, 0)), (MPoly.const(1, 2), MPoly.var(2, 1))):
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="variables"):
+                op(a, b)
+
+
+@pytest.mark.parametrize("i", [2, 3, -1, -2])
+def test_mpoly_var_index_out_of_range_is_value_error(i):
+    # var(2, 2) once raised IndexError and var(2, -1) returned u2
+    with pytest.raises(ValueError, match="variable index"):
+        MPoly.var(2, i)
+
+
+def test_mpoly_var_in_range():
+    assert [str(MPoly.var(3, i)) for i in range(3)] == ["u1", "u2", "u3"]
+    assert MPoly.var(1, 0) == MPoly.linear([1])
+
+
+def _combinations(name):
+    datum = datum_preset(name)
+    lam = (1,) + (0,) * (datum.rank - 1)
+    t = simple_reflections(datum)[0].elt
+    return (HeckeElt(datum, {t: V}) + hecke_theta(datum, lam),
+            SphElt.basis(datum, lam) + SphElt.basis(datum, (0,) * datum.rank))
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["HeckeElt", "SphElt"])
+def test_sum_across_data_is_value_error(kind):
+    # hecke_T of A1 plus hecke_T of A2 once held symbols of both data
+    a, b = _combinations("A1")[kind], _combinations("A2")[kind]
+    for x, y in ((a, b), (b, a)):
+        for op in ARITH[:2]:
+            with pytest.raises(ValueError, match="operands live over different data"):
+                op(x, y)
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["HeckeElt", "SphElt"])
+def test_sum_with_a_non_combination_is_type_error(kind):
+    # HeckeElt + 1 once raised AttributeError
+    pair = _combinations("A1")
+    x = pair[kind]
+    for other in (1, 2.5, V, MPoly.const(1, 1), pair[1 - kind]):
+        for a, b in ((x, other), (other, x)):
+            for op in ARITH[:2]:
+                with pytest.raises(TypeError):
+                    op(a, b)
+    assert (x - x).is_zero() and x + x == x.scale(2)
 
 
 def test_pow():

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import os
 from pathlib import Path
@@ -9,8 +11,10 @@ from hsw.cli import main
 from hsw.laurent import LaurentPoly, v_power
 from hsw.rootdata import datum_preset, load_datum
 from hsw.spherical import SphElt, canonical_basis
-from hsw.verify import (CHECKS, MODULE_CHECKS, check_canonical, check_oracle,
-                        run_suite, weights_by_length)
+from hsw.verify import (CHECKS, MODULE_CHECKS, check_bernstein, check_canonical, check_kato,
+                        check_length_bfs, check_modules, check_multiplicity, check_oracle,
+                        check_projection, check_pushforward, check_quadratic, run_suite,
+                        weights_by_length)
 
 SHEARED = str(Path(__file__).parent / "data" / "a2_sheared.json")
 SPECS = ["A1", "A2", "B2", "G2", "A1xA1", "GL3", pytest.param(SHEARED, id="a2_sheared")]
@@ -21,6 +25,70 @@ def test_registry_names():
     assert set(FAST_CHECKS) <= set(CHECKS)
     assert MODULE_CHECKS < set(CHECKS)
     assert "bernstein" in CHECKS and "kato" in CHECKS and "oracle" in CHECKS
+
+
+# every check with its parameters and defaults after the datum, in registration order
+REGISTERED = {
+    "quadratic": (check_quadratic, {}),
+    "bernstein": (check_bernstein, {"box": 1}),
+    "length": (check_length_bfs, {"max_len": 3}),
+    "canonical": (check_canonical, {"max_len": 3}),
+    "kato": (check_kato, {"max_len": 3}),
+    "multiplicity": (check_multiplicity, {"box": 1}),
+    "projection": (check_projection, {"n_random": 50, "max_len": 3, "seed": 7}),
+    "pushforward": (check_pushforward, {"max_word": 3}),
+    "oracle": (check_oracle, {"max_word": None, "cutoff": 16}),
+    "modules": (check_modules, {"seed": 7}),
+}
+
+
+def test_registry_order():
+    assert list(CHECKS) == list(REGISTERED)
+    for name, (fn, _) in REGISTERED.items():
+        assert CHECKS[name] is fn and getattr(hsw.verify, fn.__name__) is fn
+
+
+@pytest.mark.parametrize("name", list(REGISTERED))
+def test_each_report_carries_its_registered_name(a1, name):
+    fn, defaults = REGISTERED[name]
+    params = list(inspect.signature(fn).parameters.values())
+    assert params[0].name == "datum"
+    assert {p.name: p.default for p in params[1:]} == defaults
+    assert fn.__doc__ and fn.__name__.startswith("check_")
+    r = fn(a1)
+    assert r["name"] == name
+    assert list(r) == ["name", "pass", "checked", "failures", "seconds", "detail"]
+    assert r["pass"] is True and r["failures"] == []
+
+
+def test_registration_makes_the_report(monkeypatch):
+    monkeypatch.setattr(hsw.verify, "CHECKS", {})
+
+    @hsw.verify._check("probe")
+    def probe(n, detail="d"):
+        """A probe."""
+        return n, list(range(n)), detail
+
+    assert hsw.verify.CHECKS == {"probe": probe}
+    assert (probe.__name__, probe.__doc__) == ("probe", "A probe.")
+    r = probe(10, detail="x")
+    assert (r["name"], r["pass"], r["checked"], r["detail"]) == ("probe", False, 10, "x")
+    assert r["failures"] == [str(i) for i in range(8)]
+    assert r["seconds"] >= 0 and r["seconds"] == round(r["seconds"], 3)
+    assert probe(0) | {"seconds": 0} == {"name": "probe", "pass": True, "checked": 0,
+                                         "failures": [], "seconds": 0, "detail": "d"}
+
+
+def test_one_function_reads_the_clock():
+    # the per-check timing lives in _check alone
+    path = Path(hsw.verify.__file__)
+    readers = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        for sub in ast.walk(node):
+            if "perf_counter" in (getattr(sub, "attr", None), getattr(sub, "id", None),
+                                  getattr(sub, "name", None)):
+                readers.add(getattr(node, "name", f"line {node.lineno}"))
+    assert readers == {"_check"}
 
 
 def test_report_shape(a1):
