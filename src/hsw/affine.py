@@ -6,6 +6,12 @@ translation by a weight lam.  Multiplication follows
 formula l(w t_lam) = sum over positive roots a of |<lam, a-check> + [w(a) < 0]|,
 which reads the pairings of lam and the inversion set of w (held once per
 Weyl element), so no Coxeter presentation is needed to measure an element.
+Whether a generator s with root a shortens x = w t_lam is read from one of
+those terms (``descent_bit``): with p = <lam, a-check> + [w(a) < 0], a finite
+s_i shortens x iff p >= 1, since x s_i = (w s_i) t_{s_i(lam)} changes only the
+term at alpha_i, from |p| to |1 - p|; the affine generator shortens x iff
+p <= -1.  ``first_descent`` and ``reduced_word`` still compare lengths, so the
+words they give do not rest on this rule.
 The shortest element of a coset W t_lam comes from the chamber walk of lam,
 with no search over W.  The length-zero subgroup (isomorphic to the weight
 lattice modulo the root lattice) is handled lazily and never enumerated
@@ -15,9 +21,9 @@ unless it is finite.  Weight boxes bounded by length are boxes of pairings
 Per datum, the tables of ``datum._affine_state`` intern the elements
 (``elts``, one object per pair (w, lam), hashed by its serial there, so no two
 elements of a datum share a hash; the list ``by_serial`` holds them in serial
-order) and memoise generator products
-(``mul_simple``), reduced words (``reduced``) and coset representatives
-(``min_reps``); the generators and the length-zero elements are held in
+order; ``_intern`` is the one path that adds to them) and memoise generator
+products (``mul_simple``), reduced words (``reduced``) and coset
+representatives (``min_reps``); the generators and the length-zero elements are held in
 ``datum._once`` as ``affine_simples`` and ``omegas``.
 """
 
@@ -27,7 +33,7 @@ import copy
 import itertools
 from dataclasses import dataclass
 
-from .rootdata import PosRoot, RootDatum, Vec, WeylElt, mat_vec, vec_add, vec_neg
+from .rootdata import PosRoot, RootDatum, Vec, WeylElt, mat_vec, pair, vec_add, vec_neg
 
 
 def _length(w: WeylElt, lam: Vec) -> int:
@@ -50,10 +56,10 @@ class AffineElt:
 
     def __mul__(self, other: "AffineElt") -> "AffineElt":
         lam = vec_add(other.w.inverse().act(self.lam), other.lam)
-        return affine_elt(self.datum, self.w * other.w, lam)
+        return _intern(self.datum, self.w * other.w, lam)
 
     def inverse(self) -> "AffineElt":
-        return affine_elt(self.datum, self.w.inverse(), vec_neg(self.w.act(self.lam)))
+        return _intern(self.datum, self.w.inverse(), vec_neg(self.w.act(self.lam)))
 
     @property
     def length(self) -> int:
@@ -109,13 +115,19 @@ class SimpleReflection:
     index: int
     elt: AffineElt
     root: PosRoot
+    position: int  # of root in ``positive_roots``
 
     def __repr__(self) -> str:
         return f"SimpleReflection({self.label})"
 
 
 def affine_elt(datum: RootDatum, w: WeylElt, lam) -> AffineElt:
-    lam = datum.weight(lam)
+    return _intern(datum, w, datum.weight(lam))
+
+
+def _intern(datum: RootDatum, w: WeylElt, lam: Vec) -> AffineElt:
+    """The element w * t_lam held in the datum's tables, made on first use;
+    lam is a tuple of ints already (``affine_elt`` reads other arguments)."""
     state = datum._affine_state
     key = (w, lam)
     el = state.elts.get(key)
@@ -147,13 +159,13 @@ def simple_reflections(datum: RootDatum) -> tuple[SimpleReflection, ...]:
         for i, k in enumerate(datum._simple_positions):
             root = roots[k]
             el = from_weyl(datum.simple_reflection(i))
-            out.append(SimpleReflection(f"s{i + 1}", "finite", i, el, root))
+            out.append(SimpleReflection(f"s{i + 1}", "finite", i, el, root, k))
         comps = datum.components()
         for k, comp in enumerate(comps):
             seed = datum.highest_dual_root(comp)
             el = affine_elt(datum, datum.reflection_of(seed), vec_neg(seed.vec))
             label = "s0" if len(comps) == 1 else f"s0:{k + 1}"
-            out.append(SimpleReflection(label, "affine", k, el, seed))
+            out.append(SimpleReflection(label, "affine", k, el, seed, roots.index(seed)))
         for s in out:
             if s.elt.length != 1:
                 raise RuntimeError(f"generator {s.label} has length {s.elt.length}, not 1")
@@ -169,6 +181,14 @@ def mul_simple(x: AffineElt, s: SimpleReflection) -> AffineElt:
     if out is None:
         out = table[key] = x * s.elt
     return out
+
+
+def descent_bit(x: AffineElt, s: SimpleReflection) -> bool:
+    """l(x s) < l(x), from one pairing: for x = w t_lam and s with root a, let
+    p = <lam, a-check> + [w(a) < 0]; a finite s shortens x iff p >= 1 and the
+    affine one iff p <= -1 (see the module docstring)."""
+    p = pair(x.lam, s.root.cov) + x.w.inversions[s.position]
+    return p >= 1 if s.kind == "finite" else p <= -1
 
 
 def first_descent(x: AffineElt) -> tuple[SimpleReflection, AffineElt]:

@@ -18,36 +18,47 @@ and T_y T_om = T_{y om} for length-zero om.  The inverse mirrors this:
 The letter-chain kernel (``_apply``) runs these steps on integers.  A term
 is keyed by the serial of its element, and each step y -> ys of a letter is
 held as one int in the table ``steps``: the serial of ys shifted left once,
-with the descent bit l(ys) < l(y) as its last bit.  Each coefficient is
-packed into one int with signed digits of w bits, w a multiple of 64
-(``laurent.pack``), so that multiplying by v or v^-1 is a shift and the
-step is c_ys +- ((c << w) - (c >> w)).
+with the descent bit l(ys) < l(y) as its last bit, read from one pairing
+(``affine.descent_bit``).  Each coefficient is packed into one int with
+signed digits of w bits, w a multiple of 64 (``laurent.pack``), so that
+multiplying by v or v^-1 is a shift and the step is
+c_ys +- ((c << w) - (c >> w)).
 
-The packed form is made and read in one place, ``_product``: it packs a
-term map once, runs each chain of letters on c times it, adds the results
-in packed form, and reads the sum back once.  A step at most
+A packed value is (serial -> int, base, w), the int of a term holding its
+coefficient from v^base up.  One maker (``_packed``) makes it: it packs a
+term map once, or takes a packed value as it is, runs each chain of letters
+on c times it and adds the results in packed form.  One reader (``_read``)
+turns it back into a term map, and one comparison (``_same``) tells whether
+two values of one width are equal: the same serials, and equal ints once
+the one of the higher base is moved down by whole digits.  A step at most
 triples the largest coefficient, so w leaves room for the exact largest
 coefficient times 3^k, for the longest chain of k letters, times the sum of
 the coefficients c; results stay exact at any size.
 
 General products (``hecke_mul``) expand the right operand in the standard
 basis and run the letters of a reduced word of each of its terms, all in
-one ``_product``; the bar (``hecke_bar``) is one ``_product`` from the
-identity over the letters of (T_{x^-1})^-1 for every term c T_x, with
-coefficients bar(c).  An operand that is known as a product of basis
-symbols and their inverses is applied by ``hecke_mul_factors`` one letter
-at a time instead, and is never expanded; its chain is cut every 36 letters
-that are not omega (15 * 3^36 < 2^61, so a segment from coefficients up to
-15 keeps 64-bit digits), one ``_product`` per segment, each from the exact
-coefficients read back from the one before.
+one packed value, read back at once; the bar (``hecke_bar``) is one packed
+value from the identity over the letters of (T_{x^-1})^-1 for every term
+c T_x, with coefficients bar(c).  An operand that is known as a product of
+basis symbols and their inverses is applied by ``hecke_mul_factors`` one
+letter at a time instead, and is never expanded; its chain is cut every 36
+letters that are not omega (15 * 3^36 < 2^61, so a segment from
+coefficients up to 15 keeps 64-bit digits), one packed value per segment,
+each from the exact coefficients read back from the one before.
 
 The commutative family theta_lam is defined by theta_lam = T_{t_mu}
 T_{t_nu}^{-1} for any splitting lam = mu - nu into dominant weights; those
 two factors are ``theta_factors``.  Independence of the splitting is part of
 the verified relation battery, which multiplies by thetas in factored form
 and keeps ``hecke_mul`` as the general product the tests check it against.
+Its rows theta_lam theta_mu = theta_{lam+mu} (B2) never leave the packed
+form: each theta of the box and of the sums is made once per call from the
+identity and held packed for that call only, each left side runs theta_mu's
+letters on theta_lam's packed value, and ``_same`` compares it with
+theta_{lam+mu}; all of them share one width, enough for the longest chain.
 
-Per datum, ``datum._hecke_state`` memoises the thetas (``theta``), the
+Per datum, ``datum._hecke_state`` memoises the thetas that ``hecke_theta``
+is asked for (``theta``), the
 letters of T_x and of T_x^-1 (``letters``, keyed by the serial of x and its
 complement) and the steps of each letter (``steps``, one dict per letter,
 keyed by the serial of the letter's element); the kernel reads the element
@@ -61,9 +72,9 @@ from __future__ import annotations
 
 import itertools
 
-from .affine import (AffineElt, affine_identity, from_weyl, reduced_word,
+from .affine import (AffineElt, affine_identity, descent_bit, from_weyl, reduced_word,
                      simple_reflections, translation)
-from .laurent import ONE, Combination, pack, unpack, v_power
+from .laurent import ONE, Combination, LaurentPoly, pack, unpack, v_power
 from .rootdata import RootDatum, pair, vec_add, vec_scale, vec_sub
 
 
@@ -107,10 +118,10 @@ def _letters(x: AffineElt, sign: int) -> tuple[list, int]:
     """The steps of T_x (sign 1) or T_x^-1 (sign -1), held per element in
     the table ``letters``, with the number of them that are not omega.
 
-    Each step is (row, element, sign): omega then s_1 ... s_r, or s_r^-1
-    ... s_1^-1 then omega^-1, where row is the held step table of the
-    element and omega, which keeps lengths, has sign 0 (and no step when
-    omega = 1).
+    Each step is (row, g, sign): omega then s_1 ... s_r, or s_r^-1 ... s_1^-1
+    then omega^-1, where row is the held step table of the step's element, g
+    is the generator (a ``SimpleReflection``) or, for omega, the element, and
+    omega, which keeps lengths, has sign 0 (and no step when omega = 1).
     """
     state = x.datum._hecke_state
     key = x._serial if sign == 1 else ~x._serial
@@ -118,22 +129,23 @@ def _letters(x: AffineElt, sign: int) -> tuple[list, int]:
     if held is None:
         om, word = reduced_word(x)
         if sign == 1:
-            seq = [(om, 0)] + [(s.elt, 1) for s in word]
+            seq = [(om, om, 0)] + [(s.elt, s, 1) for s in word]
         else:
-            seq = [(s.elt, -1) for s in reversed(word)] + [(om.inverse(), 0)]
+            inv = om.inverse()
+            seq = [(s.elt, s, -1) for s in reversed(word)] + [(inv, inv, 0)]
         steps = state.steps
         held = state.letters[key] = ([
-            (steps.setdefault(g._serial, {}), g, sgn)
-            for g, sgn in seq if sgn or not g.is_identity()], len(word))
+            (steps.setdefault(el._serial, {}), g, sgn)
+            for el, g, sgn in seq if sgn or not el.is_identity()], len(word))
     return held
 
 
-def _fill(row: dict, y: int, g: AffineElt, by_serial: list) -> int:
-    """Hold the step of the letter g from the element with serial y: the
-    serial of yg, shifted left once, with the descent bit l(yg) < l(y)."""
+def _fill(row: dict, y: int, s, by_serial: list) -> int:
+    """Hold the step of the generator s from the element x with serial y: the
+    serial of xs, shifted left once, with the descent bit l(xs) < l(x) read
+    from one pairing (``descent_bit``)."""
     x = by_serial[y]
-    xg = x * g
-    code = row[y] = xg._serial << 1 | (xg.length < x.length)
+    code = row[y] = (x * s.elt)._serial << 1 | descent_bit(x, s)
     return code
 
 
@@ -153,7 +165,7 @@ def _apply(cur: dict, letters, width: int, by_serial: list) -> dict:
             for y, c in cur.items():
                 code = get(y)
                 if code is None:
-                    code = _fill(row, y, g, by_serial)
+                    code = row[y] = (by_serial[y] * g)._serial << 1
                 out[code >> 1] = c
         else:
             act = 1 if sign == 1 else 0
@@ -174,27 +186,44 @@ def _apply(cur: dict, letters, width: int, by_serial: list) -> dict:
     return cur
 
 
-def _product(datum: RootDatum, terms: dict, chains) -> dict:
-    """The terms (element -> coefficient) times the sum of c times each chain,
-    for chains (letters, k, c) of letters from ``_letters`` with k of them
-    not omega, as a term map.
+def _width(bound: int) -> int:
+    """The fewest digit bits, a multiple of 64, with room for sums up to
+    bound below 2^(width - 3)."""
+    return 64 * ((bound.bit_length() + 66) // 64)
 
-    The only place where the packed form is made and read: the terms are
-    packed once, with digits wide enough for the whole sum from the exact
-    largest coefficient, each chain runs on c times them, and the results
-    are added in packed form and read back once.
+
+def _packed(datum: RootDatum, start, chains, width: int = 64) -> tuple[dict, int, int]:
+    """The one maker of a packed value (serial -> int, base, width): start
+    times the sum of c times each chain, for chains (letters, k, c) of
+    letters from ``_letters`` with k of them not omega.  No int of it is 0.
+
+    A term map start (element -> coefficient) is packed here, with digits
+    of at least width bits and wide enough for the whole sum from its exact
+    largest coefficient.  A packed start keeps its width, which its maker
+    chose for these chains too; it is moved down by k digits first, so that
+    v^-1 stays a shift.  Each chain runs on c times the start, and the
+    results are added in packed form.
     """
-    if not terms or not chains:
-        return {}
+    if not chains or not start:
+        return {}, 0, width
     by_serial = datum._affine_state.by_serial
-    top = max(max(map(abs, c._c.values())) for c in terms.values())
     depth = max(k for _, k, _ in chains)
-    scale = sum(sum(map(abs, c._c.values())) for _, _, c in chains)
-    # the fewest digit bits, a multiple of 64, with room for the sum below 2^(width - 3)
-    width = 64 * (((top * 3 ** depth * scale).bit_length() + 66) // 64)
-    base = min(min(c._c) for c in terms.values()) - depth
+    if isinstance(start, dict):
+        top = max(max(map(abs, c._c.values())) for c in start.values())
+        scale = sum(sum(map(abs, c._c.values())) for _, _, c in chains)
+        width = max(width, _width(top * 3 ** depth * scale))
+        base = min(min(c._c) for c in start.values()) - depth
+        packed = {x._serial: pack(c, base, width) for x, c in start.items()}
+    else:
+        packed, base, width = start
+        # move the lowest nonzero digit to k digits above the base, read from
+        # the lowest set bit of each int
+        low = min(((p & -p).bit_length() for p in packed.values()), default=1) - 1
+        move = depth - low // width
+        base -= move
+        packed = {y: p << (width * move) if move >= 0 else p >> (-width * move)
+                  for y, p in packed.items()}
     shift = min(min(c._c) for _, _, c in chains)
-    packed = {x._serial: pack(c, base, width) for x, c in terms.items()}
     acc: dict[int, int] = {}
     for letters, _, c in chains:
         m = pack(c, shift, width)
@@ -206,19 +235,43 @@ def _product(datum: RootDatum, terms: dict, chains) -> dict:
             continue
         get = acc.get
         for y, p in out.items():
-            acc[y] = get(y, 0) + p
-    del packed, out  # freed before the terms read back are built, which sets the peak memory
-    base += shift
-    return {by_serial[y]: unpack(p, base, width) for y, p in acc.items() if p}
+            total = get(y, 0) + p
+            if total:
+                acc[y] = total
+            else:
+                acc.pop(y, None)
+    return acc, base + shift, width
+
+
+def _read(datum: RootDatum, value: tuple[dict, int, int]) -> dict:
+    """The term map (element -> coefficient) of a packed value: the one reader."""
+    terms, base, width = value
+    by_serial = datum._affine_state.by_serial
+    return {by_serial[y]: unpack(p, base, width) for y, p in terms.items()}
+
+
+def _same(a: tuple[dict, int, int], b: tuple[dict, int, int]) -> bool:
+    """Whether two packed values of one width are the same element: they hold
+    the same serials, and each pair of ints is equal once the one of the
+    higher base is moved to the other base, by whole digits."""
+    (pa, ba, width), (pb, bb, wb) = a, b
+    if width != wb:
+        raise ValueError(f"packed values of widths {width} and {wb} do not compare")
+    if pa.keys() != pb.keys():
+        return False
+    if ba < bb:
+        pa, ba, pb, bb = pb, bb, pa, ba
+    shift = width * (ba - bb)
+    return all(p << shift == pb[y] for y, p in pa.items())
 
 
 def hecke_mul(a: HeckeElt, b: HeckeElt) -> HeckeElt:
     """Product in the standard basis: each term c T_x of b runs the letters
-    of x on a, and the results add up in one ``_product``."""
+    of x on a, and the results add up in one packed value."""
     if a.datum is not b.datum:
         raise ValueError("operands live over different data")
-    return HeckeElt(a.datum, _product(a.datum, a._m,
-                                      [(*_letters(x, 1), c) for x, c in b._m.items()]))
+    chains = [(*_letters(x, 1), c) for x, c in b._m.items()]
+    return HeckeElt(a.datum, _read(a.datum, _packed(a.datum, a._m, chains)))
 
 
 def hecke_mul_factors(a: HeckeElt, factors) -> HeckeElt:
@@ -227,8 +280,8 @@ def hecke_mul_factors(a: HeckeElt, factors) -> HeckeElt:
 
     The letters of all factors run as one chain, so the operand is never
     expanded in the standard basis.  The chain is cut into segments of 36
-    letters that are not omega (``_CUT``), and each segment is one
-    ``_product`` from the exact terms the one before read back.
+    letters that are not omega (``_CUT``), and each segment is one packed
+    value made from the exact terms read back from the one before.
     """
     datum = a.datum
     letters = []
@@ -242,11 +295,11 @@ def hecke_mul_factors(a: HeckeElt, factors) -> HeckeElt:
     for i, step in enumerate(letters):
         if step[2]:
             if k == _CUT:
-                terms = _product(datum, terms, [(letters[cut:i], k, ONE)])
+                terms = _read(datum, _packed(datum, terms, [(letters[cut:i], k, ONE)]))
                 cut, k = i, 0
             k += 1
     if letters:
-        terms = _product(datum, terms, [(letters[cut:], k, ONE)])
+        terms = _read(datum, _packed(datum, terms, [(letters[cut:], k, ONE)]))
     return HeckeElt(datum, terms)
 
 
@@ -266,11 +319,10 @@ def hecke_bar_T(x: AffineElt) -> HeckeElt:
 
 def hecke_bar(a: HeckeElt) -> HeckeElt:
     """The bar involution: v -> v^-1 on coefficients, T_x -> (T_{x^-1})^-1,
-    as one ``_product`` from the identity over the letters of every term."""
+    as one packed value from the identity over the letters of every term."""
     datum = a.datum
-    return HeckeElt(datum, _product(datum, {affine_identity(datum): ONE},
-                                    [(*_letters(x.inverse(), -1), c.bar())
-                                     for x, c in a._m.items()]))
+    chains = [(*_letters(x.inverse(), -1), c.bar()) for x, c in a._m.items()]
+    return HeckeElt(datum, _read(datum, _packed(datum, {affine_identity(datum): ONE}, chains)))
 
 
 # -- the commutative family -----------------------------------------------------------
@@ -321,6 +373,47 @@ def hecke_theta(datum: RootDatum, lam) -> HeckeElt:
 # -- relation batteries -----------------------------------------------------------------
 
 
+def _theta_chain(datum: RootDatum, lam) -> tuple[list, int, LaurentPoly]:
+    """The letters of theta_lam's factors as one chain (letters, k, 1)."""
+    letters, k = [], 0
+    for x, sign in theta_factors(datum, lam):
+        steps, n = _letters(x, sign)
+        letters += steps
+        k += n
+    return letters, k, ONE
+
+
+def _verify_b2(datum: RootDatum, box_weights: list) -> list[dict]:
+    """The B2 rows theta_lam theta_mu = theta_{lam+mu}, on packed values.
+
+    Each theta of the box and of the sums is made once from the identity
+    and held packed in a table that lives for this call only.  Each left
+    side runs the letters of theta_mu on theta_lam's packed value and is
+    compared packed with theta_{lam+mu}.  All values share one digit width,
+    which holds 3^k for the longest chain k that any of them runs from the
+    identity (theta_lam then theta_mu, or theta_{lam+mu}), so every digit is
+    exact and nothing is read back.
+    """
+    chains = {lam: _theta_chain(datum, lam) for lam in box_weights}
+    for lam in box_weights:
+        for mu in box_weights:
+            nu = vec_add(lam, mu)
+            if nu not in chains:
+                chains[nu] = _theta_chain(datum, nu)
+    longest = max(k for _, k, _ in chains.values())
+    depth = max(longest, 2 * max(chains[lam][1] for lam in box_weights))
+    width = _width(3 ** depth)
+    one = {affine_identity(datum): ONE}
+    held = {lam: _packed(datum, one, [chain], width) for lam, chain in chains.items()}
+    rows = []
+    for lam in box_weights:
+        for mu in box_weights:
+            lhs = _packed(datum, held[lam], [chains[mu]])
+            rows.append({"relation": "B2", "case": f"{lam}+{mu}",
+                         "pass": _same(lhs, held[vec_add(lam, mu)])})
+    return rows
+
+
 def verify_quadratic_all(datum: RootDatum) -> list[dict]:
     """(T_s + v^-1)(T_s - v) = 0 for every generator, finite and affine."""
     rows = []
@@ -358,13 +451,7 @@ def verify_bernstein(datum: RootDatum, box: int) -> list[dict]:
             ok = lhs == hecke_T(from_weyl(vw * ww))
             rows.append({"relation": "B1", "case": f"{vw!r}*{ww!r}", "pass": ok})
     box_weights = list(itertools.product(range(-box, box + 1), repeat=datum.rank))
-    factors = {mu: theta_factors(datum, mu) for mu in box_weights}
-    for lam in box_weights:
-        th = hecke_theta(datum, lam)
-        for mu in box_weights:
-            lhs = hecke_mul_factors(th, factors[mu])
-            ok = lhs == hecke_theta(datum, vec_add(lam, mu))
-            rows.append({"relation": "B2", "case": f"{lam}+{mu}", "pass": ok})
+    rows += _verify_b2(datum, box_weights)
     finite = [s for s in simple_reflections(datum) if s.kind == "finite"]
     for s in finite:
         ts = hecke_T(s.elt)

@@ -47,8 +47,7 @@ class MPoly:
 
     @staticmethod
     def var(nvars: int, i: int) -> "MPoly":
-        if not 0 <= i < nvars:
-            raise ValueError(f"variable index {i} outside 0..{nvars - 1}")
+        _check_index(nvars, i)
         return MPoly(nvars, {tuple(int(j == i) for j in range(nvars)): 1})
 
     @staticmethod
@@ -128,7 +127,10 @@ class MPoly:
     # -- substitution and calculus ----------------------------------------------------
 
     def substitute_linear(self, mat: Sequence[Sequence[int]]) -> "MPoly":
-        """Replace variable i by the linear form sum_j mat[i][j] u_j."""
+        """Replace variable i by the linear form sum_j mat[i][j] u_j; mat is
+        square, with one row and one column per variable."""
+        if len(mat) != self.nvars or any(len(row) != self.nvars for row in mat):
+            raise ValueError(f"substitution needs a {self.nvars} x {self.nvars} matrix")
         forms = [MPoly.linear(row) for row in mat]
         out = MPoly.zero(self.nvars)
         for e, a in self._c.items():
@@ -140,6 +142,7 @@ class MPoly:
         return out
 
     def deriv(self, i: int) -> "MPoly":
+        _check_index(self.nvars, i)
         c: dict[tuple, int] = {}
         for e, a in self._c.items():
             if e[i]:
@@ -149,7 +152,10 @@ class MPoly:
         return MPoly(self.nvars, c)
 
     def coeff(self, exps: tuple) -> int:
-        return self._c.get(tuple(exps), 0)
+        exps = tuple(exps)
+        if len(exps) != self.nvars:
+            raise ValueError(f"monomial {exps} does not have {self.nvars} exponents")
+        return self._c.get(exps, 0)
 
     # -- comparison / rendering --------------------------------------------------------
 
@@ -190,6 +196,11 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly({self.nvars}, {dict(self.items())!r})"
+
+
+def _check_index(nvars: int, i: int) -> None:
+    if not 0 <= i < nvars:
+        raise ValueError(f"variable index {i} outside 0..{nvars - 1}")
 
 
 def _wrap(nvars: int, c: dict[tuple, int]) -> MPoly:

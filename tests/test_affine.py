@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from hsw.affine import (affine_elt, affine_identity, coset_decompose, first_descent,
-                        min_rep, mul_simple, omega_elements, parse_weight, parse_word,
-                        reduced_word, simple_reflections, translation, word_elt)
+from hsw.affine import (affine_elt, affine_identity, coset_decompose, descent_bit,
+                        first_descent, min_rep, mul_simple, omega_elements, parse_weight,
+                        parse_word, reduced_word, simple_reflections, translation, word_elt)
 from hsw.cli import main
 from hsw.hecke import verify_bernstein
 from hsw.rootdata import RootDatum, datum_preset
@@ -21,6 +21,36 @@ def _root_by_root_length(datum, w, lam):
         p = sum(a * b for a, b in zip(lam, r.cov))
         total += abs(p + 1) if w.act(r.vec) in neg else abs(p)
     return total
+
+
+def _twist_ball(datum, radius):
+    """Every element within radius letters of a length-zero element: the
+    twists, or with central directions those of weights in -1..1."""
+    if datum.fundamental_group_order() is None:
+        start = {min_rep(datum, lam) for lam in itertools.product((-1, 0, 1), repeat=datum.rank)}
+        start = {x for x in start if x.length == 0}
+    else:
+        start = set(omega_elements(datum))
+    ball, front = set(start), start
+    for _ in range(radius):
+        front = {x * s.elt for x in front for s in simple_reflections(datum)} - ball
+        ball |= front
+    return ball
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_descent_bit_is_the_length_comparison(name):
+    # one pairing against two length sums, for every generator, finite and affine
+    datum = datum_preset(name)
+    ball = _twist_ball(datum, 4)
+    assert len(ball) > 16
+    bits = {}
+    for x in ball:
+        for s in simple_reflections(datum):
+            bit = descent_bit(x, s)
+            assert bit == ((x * s.elt).length < x.length), (x, s)
+            bits[s.kind, bit] = bits.get((s.kind, bit), 0) + 1
+    assert len(bits) == 4  # each kind of generator both shortens and lengthens
 
 
 def test_translation_lengths(a1, a2):

@@ -8,14 +8,15 @@ import pytest
 from hsw import hecke
 from hsw.affine import (affine_identity, length_box, min_rep, mul_simple, omega_elements,
                         reduced_word, simple_reflections, translation)
-from hsw.hecke import (HeckeElt, _dominant_split, hecke_bar,
-                       hecke_inv_T, hecke_mul, hecke_mul_factors, hecke_T, hecke_theta,
-                       verify_bernstein, verify_quadratic_affine,
+from hsw.hecke import (HeckeElt, _dominant_split, _packed, _read, _same, _theta_chain,
+                       _width, hecke_bar, hecke_inv_T, hecke_mul, hecke_mul_factors, hecke_T,
+                       hecke_theta, theta_factors, verify_bernstein, verify_quadratic_affine,
                        verify_quadratic_all)
-from hsw.laurent import ONE, V, XI, ZERO, LaurentPoly, _wrap, v_power
-from hsw.rootdata import datum_preset
+from hsw.laurent import ONE, V, XI, ZERO, LaurentPoly, _wrap, pack, v_power
+from hsw.rootdata import datum_preset, vec_add
 
 PRESETS = ["A1", "A2", "B2", "G2", "A1xA1", "GL3"]
+PACKING = ("_packed", "_read", "_same")  # maker, reader, comparison of packed values
 
 
 # -- the pair-by-pair product on Laurent coefficients: the oracle of the kernel -------
@@ -264,8 +265,9 @@ def test_kernel_matches_the_pair_oracle(name):
 
 
 def test_only_the_product_packs():
-    # the packed form is made and read in laurent.py and in hecke._product
-    # alone: any other reference to pack or unpack under src/hsw is listed
+    # the packed form is made, read and compared in laurent.py and in the
+    # maker, reader and comparison of hecke alone: any other reference to
+    # pack or unpack under src/hsw is listed
     stray = []
     for path in sorted(pathlib.Path(hecke.__file__).parent.glob("*.py")):
         if path.name == "laurent.py":
@@ -273,8 +275,8 @@ def test_only_the_product_packs():
         tree = ast.parse(path.read_text(), str(path))
         inside = set()
         for node in tree.body:
-            if path.name == "hecke.py" and getattr(node, "name", None) == "_product":
-                inside = {id(n) for n in ast.walk(node)}
+            if path.name == "hecke.py" and getattr(node, "name", None) in PACKING:
+                inside |= {id(n) for n in ast.walk(node)}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 names = [a.name for a in node.names
@@ -474,6 +476,108 @@ def test_bernstein_battery_small(a1, g2):
         assert all(r["pass"] for r in rows)
         kinds = {r["relation"] for r in rows}
         assert {"B1", "B2"} <= kinds
+
+
+# -- B2 on packed values ------------------------------------------------------------------
+
+
+def _packed_by_hand(terms, base, width=64):
+    return {x._serial: pack(c, base, width) for x, c in terms.items()}, base, width
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_packed_comparison(name):
+    datum = datum_preset(name)
+    terms = max((hecke_theta(datum, lam)._m
+                 for lam in itertools.product((-1, 0, 1), repeat=datum.rank)), key=len)
+    assert len(terms) > 1
+    low = min(min(c._c) for c in terms.values())
+    a = _packed_by_hand(terms, low)
+    for lower in (1, 2, 7):
+        b = _packed_by_hand(terms, low - lower)
+        assert _same(a, b) and _same(b, a) and _same(b, b)
+    x, y = list(terms)[:2]
+    for bump in (ONE, V, -V, LaurentPoly({1: 3})):
+        changed = {**terms, x: terms[x] + bump}
+        for base in (low, low - 1, low - 3):
+            assert not _same(a, _packed_by_hand(changed, base))
+            assert not _same(_packed_by_hand(changed, base), a)
+    far = translation(datum, (7,) * datum.rank)
+    assert far not in terms
+    extra = {**terms, far: V}
+    missing = {z: c for z, c in terms.items() if z is not y}
+    for other in (extra, missing):
+        for base in (low, low - 2):
+            assert not _same(a, _packed_by_hand(other, base))
+            assert not _same(_packed_by_hand(other, base), a)
+    with pytest.raises(ValueError, match="widths 64 and 128"):
+        _same(a, _packed_by_hand(terms, low, 128))
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_packed_thetas_read_back_as_the_pair_oracle(name):
+    # theta_lam made from the identity, then theta_mu's letters run on its
+    # packed value, which moves it down (a long mu) or up (mu = 0) first
+    datum = datum_preset(name)
+    one = {affine_identity(datum): ONE}
+    weights = list(itertools.product((-1, 0, 1), repeat=datum.rank))
+    longest = max(weights, key=lambda lam: _theta_chain(datum, lam)[1])
+    rng = random.Random(name)
+    pairs = [(longest, longest), (longest, (0,) * datum.rank)]
+    pairs += [(rng.choice(weights), rng.choice(weights)) for _ in range(5)]
+    for lam, mu in pairs:
+        lam_chain, mu_chain = _theta_chain(datum, lam), _theta_chain(datum, mu)
+        width = _width(3 ** (lam_chain[1] + mu_chain[1]))
+        th = _packed(datum, one, [lam_chain], width)
+        expected = mul_factors_oracle(one, theta_factors(datum, lam))
+        assert _read(datum, th) == expected
+        lhs = _packed(datum, th, [mu_chain])
+        assert lhs[2] == width and 0 not in lhs[0].values()
+        assert _read(datum, lhs) == mul_factors_oracle(expected, theta_factors(datum, mu))
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_b2_rows_and_the_theta_table(name):
+    # B2 keeps its rows, in order and in one block, and holds no theta of a
+    # sum outside the box once the battery is done
+    datum = datum_preset(name)
+    rows = verify_bernstein(datum, 1)
+    weights = list(itertools.product((-1, 0, 1), repeat=datum.rank))
+    kinds = [r["relation"] for r in rows]
+    first = kinds.index("B2")
+    b2 = rows[first:first + len(weights) ** 2]
+    assert [r["case"] for r in b2] == [f"{lam}+{mu}" for lam in weights for mu in weights]
+    assert kinds.count("B2") == len(b2) and all(r["relation"] == "B2" for r in b2)
+    assert set(kinds[:first]) == {"B1"} and set(kinds[first + len(b2):]) <= {"B3", "B4"}
+    assert all(r["pass"] for r in rows)
+    assert set(datum._hecke_state.theta) <= set(weights)
+
+
+def test_b2_digits_hold_the_longest_chain(monkeypatch, a1):
+    # theta_-20 theta_-20 runs 40 letters from the identity: 3^40 > 2^61, so
+    # every value of the call has 128-bit digits, though A1's stay small
+    calls = _spy_segments(monkeypatch)
+    rows = hecke._verify_b2(a1, [(i,) for i in range(-20, 21)])
+    assert len(rows) == 41 ** 2 and all(r["pass"] for r in rows)
+    # one value per weight of -40..40, then one left side per pair
+    assert {width for _, width in calls} == {128} and len(calls) == 81 + 41 ** 2
+
+
+def test_b2_fails_where_a_theta_is_wrong(monkeypatch):
+    # theta_(1,0) built as theta_(0,1): a row passes iff the wrong thetas still add;
+    # a datum of its own, as B3 and B4 hold the wrong theta in its table
+    a2 = datum_preset("A2")
+    wrong = {(1, 0): (0, 1)}
+    real = hecke.theta_factors
+    monkeypatch.setattr(hecke, "theta_factors",
+                        lambda datum, lam: real(datum, wrong.get(lam, lam)))
+    rows = [r for r in verify_bernstein(a2, 1) if r["relation"] == "B2"]
+    weights = list(itertools.product((-1, 0, 1), repeat=2))
+    pairs = [(lam, mu) for lam in weights for mu in weights]
+    expected = [vec_add(wrong.get(lam, lam), wrong.get(mu, mu)) == wrong.get(nu, nu)
+                for lam, mu in pairs for nu in [vec_add(lam, mu)]]
+    assert [r["pass"] for r in rows] == expected
+    assert 0 < expected.count(False) < len(pairs)
 
 
 def test_elt_container_laws(a1):

@@ -185,6 +185,39 @@ def test_mpoly_var_index_out_of_range_is_value_error(i):
         MPoly.var(2, i)
 
 
+@pytest.mark.parametrize("i", [2, 3, -1, -2])
+def test_mpoly_deriv_index_out_of_range_is_value_error(i):
+    # deriv(-1) once differentiated by u2, and deriv(2) raised IndexError
+    with pytest.raises(ValueError, match="variable index"):
+        MPoly(2, {(1, 2): 1}).deriv(i)
+
+
+def test_mpoly_deriv_in_range():
+    p = MPoly(2, {(1, 2): 1})
+    assert (str(p.deriv(0)), str(p.deriv(1))) == ("u2^2", "2*u1*u2")
+
+
+@pytest.mark.parametrize("mat", [[[1, 0]], [[1, 0], [0, 1], [1, 1]], [[1, 0], [0]],
+                                 [[1, 0, 0], [0, 1, 0]], []])
+def test_mpoly_substitution_of_wrong_shape_is_value_error(mat):
+    # one row once gave u1 for u1*u2^2, and a third row was ignored
+    with pytest.raises(ValueError, match="2 x 2 matrix"):
+        MPoly(2, {(1, 2): 1}).substitute_linear(mat)
+
+
+@pytest.mark.parametrize("exps", [(1,), (1, 2, 0), ()])
+def test_mpoly_coeff_of_wrong_length_is_value_error(exps):
+    # coeff((1,)) once returned 0
+    with pytest.raises(ValueError, match="2 exponents"):
+        MPoly(2, {(1, 2): 3}).coeff(exps)
+
+
+def test_mpoly_coeff_and_substitution_in_shape():
+    p = MPoly(2, {(1, 2): 3})
+    assert (p.coeff((1, 2)), p.coeff([1, 2]), p.coeff((0, 0))) == (3, 3, 0)
+    assert p.substitute_linear([[0, 1], [1, 0]]) == MPoly(2, {(2, 1): 3})
+
+
 def test_mpoly_var_in_range():
     assert [str(MPoly.var(3, i)) for i in range(3)] == ["u1", "u2", "u3"]
     assert MPoly.var(1, 0) == MPoly.linear([1])

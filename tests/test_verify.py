@@ -178,6 +178,22 @@ def test_default_checks_are_those_that_apply():
     assert all(r["pass"] for r in reports)
 
 
+def test_a_check_registered_later_runs_only_when_named(monkeypatch, a1):
+    before = [r["name"] for r in run_suite(a1)]
+    assert before == list(REGISTERED)
+    monkeypatch.setattr(hsw.verify, "CHECKS", dict(CHECKS))
+
+    @hsw.verify._check("probe")
+    def probe(datum):
+        """A probe."""
+        return 1, [], ""
+
+    assert [r["name"] for r in run_suite(a1)] == before
+    assert [r["name"] for r in run_suite(a1, ["probe"])] == ["probe"]
+    monkeypatch.undo()
+    assert "probe" not in CHECKS
+
+
 def _suite(monkeypatch, spec, cpus, names=None):
     """run_suite on a fresh datum with the CPU query patched, and how often
     it forked; the reports lose their timings."""
